@@ -9,21 +9,15 @@ nonzero if any check fails.
 import sys
 import time
 
-from sullivan.verify import render_report, run_all
+from sullivan.verify import render_reports, run_all
 
 
 def main() -> int:
     start = time.perf_counter()
     reports = run_all()
     elapsed = time.perf_counter() - start
-    for i, report in enumerate(reports):
-        if i:
-            print()
-        print(render_report(report))
-    passed = sum(1 for r in reports if r.ok)
-    print()
-    print(f"{passed} of {len(reports)} case reports passed in {elapsed:.2f}s")
-    return 0 if passed == len(reports) else 1
+    print(render_reports(reports, f" in {elapsed:.2f}s"))
+    return 0 if all(r.ok for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from sullivan.presets import (
     data_files,
     data_text,
     pontryagin_setup,
-    preset_case,
 )
 from sullivan.verify import render_report, run_all, run_case
 

@@ -41,7 +41,7 @@ from sullivan.dsl import (
 from sullivan.errors import EngineError, ResourceLimitError, VerificationFailedError
 from sullivan.gradedalg import Generator
 from sullivan.reduction import DEFAULT_CHECK_DEGREE, reduce
-from sullivan.verify import render_report, run_all, run_case
+from sullivan.verify import SHIPPED_INSTANCES, render_reports, run_all, run_case
 from sullivan.presets import CASES
 
 
@@ -201,23 +201,13 @@ def _verify_instances(case: Optional[str], n: Optional[int]):
         return run_all()
     if n is not None:
         return (run_case(case, n),)
-    if case in ("prop31", "thm33"):
-        return (run_case(case, 2), run_case(case, 3))
-    if case == "prop32":
-        return (run_case(case, 2),)
-    return (run_case(case),)
+    return tuple(run_case(c, k) for c, k in SHIPPED_INSTANCES if c == case)
 
 
 def cmd_paper_verify(args: argparse.Namespace) -> int:
     reports = _verify_instances(args.case, args.n)
-    for i, report in enumerate(reports):
-        if i:
-            print()
-        print(render_report(report))
-    passed = sum(1 for r in reports if r.ok)
-    print()
-    print(f"{passed} of {len(reports)} case reports passed")
-    return 0 if passed == len(reports) else 3
+    print(render_reports(reports))
+    return 0 if all(r.ok for r in reports) else 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,10 +4,14 @@ Four case ids are recognized: prop31, prop32, thm33, thm34.  Each names a
 two-sided quotient configuration (classifying generators plus the two
 restriction maps) that the verification harness can build, reduce, and
 compare against an independently constructed projectivization or an
-expected reduced model.  The configurations are also shipped as plain
-documents under ``sullivan/data`` so they can be fed back through the
-command line; ``scripts/gen_presets.py`` regenerates those files from the
-functions here, and the test suite asserts the two agree.
+expected reduced model.
+
+thm34 has no parameter, so its shipped documents under ``sullivan/data``
+(``thm34.bq``, ``thm34.pont``, ``thm34_f.morphism``) are its only source and
+are parsed on every call.  prop31, prop32 and thm33 are families in n and
+are built in code here; their shipped n = 2 and n = 3 documents are worked
+examples that the test suite checks against the code.  All shipped files
+are authored data, edited by hand.
 
 Coefficients that the source derivations leave as free rational parameters
 (the beta coefficients of prop32 and the integer coefficients of thm33)
@@ -30,13 +34,8 @@ from importlib import resources
 from typing import Optional
 
 from sullivan.cdga import FreeCDGA, Morphism
-from sullivan.constructors import (
-    ClassifyingData,
-    PontryaginData,
-    hp_model,
-    projectivize,
-    sphere_model,
-)
+from sullivan.constructors import ClassifyingData, PontryaginData, hp_model, sphere_model
+from sullivan.dsl import parse_classifying, parse_morphism, parse_pontryagin
 from sullivan.gradedalg import Generator, Polynomial
 
 CASES = ("prop31", "prop32", "thm33", "thm34")
@@ -105,10 +104,22 @@ def _check_case(case: str) -> None:
         raise ValueError(f"unknown case {case!r}; expected one of {', '.join(CASES)}")
 
 
-def default_n(case: str) -> Optional[int]:
-    """The parameter value used when none is given; thm34 takes none."""
+_MIN_N = {"prop31": 2, "prop32": 2, "thm33": 1}
+
+
+def resolve_n(case: str, n: Optional[int] = None) -> Optional[int]:
+    """The parameter of a case instance: n checked against the case's
+    minimum, or the default 2 when n is None.  thm34 takes none."""
     _check_case(case)
-    return None if case == "thm34" else 2
+    if case == "thm34":
+        if n is not None:
+            raise ValueError("case thm34 takes no parameter n")
+        return None
+    if n is None:
+        return 2
+    if n < _MIN_N[case]:
+        raise ValueError(f"case {case} needs n >= {_MIN_N[case]}, got {n}")
+    return n
 
 
 def _binomials(n: int) -> tuple[Fraction, ...]:
@@ -141,51 +152,22 @@ def classifying_data(
     restriction image is zero are omitted from the maps, matching the
     shipped document files.
     """
-    _check_case(case)
+    n = resolve_n(case, n)
+    if case in ("thm34", "prop31") and betas is not None:
+        raise ValueError(f"case {case} has no free coefficients")
     if case == "thm34":
-        if n is not None:
-            raise ValueError("case thm34 takes no parameter n")
-        if betas is not None:
-            raise ValueError("case thm34 has no free coefficients")
-        return _thm34_data()
-    if n is None:
-        n = default_n(case)
-    assert n is not None
+        return parse_classifying(data_text("thm34.bq"))
     if case == "prop31":
-        if betas is not None:
-            raise ValueError("case prop31 has no free coefficients")
-        if n < 2:
-            raise ValueError(f"case prop31 needs n >= 2, got {n}")
         return _prop31_data(n)
     if betas is None:
         betas = default_betas(case, n)
-    assert betas is not None
     if case == "prop32":
-        if n < 2:
-            raise ValueError(f"case prop32 needs n >= 2, got {n}")
         if len(betas) != n + 1:
             raise ValueError(f"case prop32 at n = {n} needs {n + 1} betas, got {len(betas)}")
         return _prop32_data(n, betas)
-    if n < 1:
-        raise ValueError(f"case thm33 needs n >= 1, got {n}")
     if len(betas) != 2 * n:
         raise ValueError(f"case thm33 at n = {n} needs {2 * n} coefficients, got {len(betas)}")
     return _thm33_data(n, betas)
-
-
-def _thm34_data() -> ClassifyingData:
-    a4, c4 = Generator("a4", 4), Generator("c4", 4)
-    b4 = Generator("b4", 4)
-    v4, v8, v12 = Generator("v4", 4), Generator("v8", 8), Generator("v12", 12)
-    pa, pc, pb = Polynomial.gen(a4), Polynomial.gen(c4), Polynomial.gen(b4)
-    return ClassifyingData(
-        wh=(a4, c4),
-        wk=(b4,),
-        v=(v4, v8, v12),
-        phi_h={v4: pa + pc, v8: pa * pc},
-        phi_k={v4: 3 * pb, v8: 3 * pb**2, v12: pb**3},
-        suspension_names={v4: "v3", v8: "v7", v12: "v11"},
-    )
 
 
 def _prop31_data(n: int) -> ClassifyingData:
@@ -258,23 +240,15 @@ def pontryagin_setup(case: str, n: Optional[int] = None) -> PontryaginData:
     """Base model, rank, and characteristic cocycles of a projectivization case.
 
     thm34: rank-2 bundle over the quaternionic plane (y-prefixed model)
-    with p1 = y4, p2 = y4^2.  thm33 at n: rank-n bundle over the 4n-sphere
-    with p_n = a_{4n} the only nonzero class.  The other cases have no
-    projectivization side.
+    with the cocycles of ``thm34.pont``, p1 = y4, p2 = y4^2.  thm33 at n:
+    rank-n bundle over the 4n-sphere with p_n = a_{4n} the only nonzero
+    class.  The other cases have no projectivization side.
     """
-    _check_case(case)
+    n = resolve_n(case, n)
     if case == "thm34":
-        if n is not None:
-            raise ValueError("case thm34 takes no parameter n")
-        base = hp_model(2, prefix="y")
-        y4 = Polynomial.gen(base.gen("y4"))
-        return PontryaginData(base=base, rank=2, classes=(y4, y4**2))
+        return parse_pontryagin(data_text("thm34.pont"), hp_model(2, prefix="y"), 2)
     if case != "thm33":
         raise ValueError(f"case {case} has no projectivization side")
-    if n is None:
-        n = 2
-    if n < 1:
-        raise ValueError(f"case thm33 needs n >= 1, got {n}")
     base = sphere_model(4 * n)
     top_class = Polynomial.gen(base.gen(f"a{4 * n}"))
     classes = tuple(Polynomial.zero() for _ in range(n - 1)) + (top_class,)
@@ -284,37 +258,17 @@ def pontryagin_setup(case: str, n: Optional[int] = None) -> PontryaginData:
 def comparison_morphism(case: str, n: Optional[int] = None) -> Morphism:
     """The sign-corrected comparison map of a case.
 
-    thm34: from the reduced four-generator quotient model into the full
-    projectivization model.  thm33: between the two reduced two-generator
-    models.  Both pass the chain check; the verbatim transcriptions that
-    do not are shipped separately as *_verbatim.morphism exhibits.
+    thm34: ``thm34_f.morphism``, from the reduced four-generator quotient
+    model into the full projectivization model.  thm33: between the two
+    reduced two-generator models.  Both pass the chain check; the verbatim
+    transcriptions that do not are shipped separately as
+    *_verbatim.morphism exhibits.
     """
-    _check_case(case)
+    n = resolve_n(case, n)
     if case == "thm34":
-        if n is not None:
-            raise ValueError("case thm34 takes no parameter n")
-        a4, b4 = Generator("a4", 4), Generator("b4", 4)
-        v7, v11 = Generator("v7", 7), Generator("v11", 11)
-        pa, pb = Polynomial.gen(a4), Polynomial.gen(b4)
-        source = FreeCDGA(
-            (a4, b4, v7, v11),
-            {v7: -(pa**2) + 3 * pa * pb - 3 * pb**2, v11: -(pb**3)},
-        )
-        target = projectivize(pontryagin_setup("thm34"))
-        x4, y4 = target.gen("x4"), target.gen("y4")
-        images = {
-            a4: Polynomial.gen(x4) - Polynomial.gen(y4),
-            b4: -Polynomial.gen(y4),
-            v7: -Polynomial.gen(target.gen("x7")),
-            v11: Polynomial.gen(target.gen("y11")),
-        }
-        return Morphism(source, target, images)
+        return parse_morphism(data_text("thm34_f.morphism"))
     if case != "thm33":
         raise ValueError(f"case {case} has no comparison morphism")
-    if n is None:
-        n = 2
-    if n < 1:
-        raise ValueError(f"case thm33 needs n >= 1, got {n}")
     b4 = Generator("b4", 4)
     v_top = Generator(f"v{8 * n - 1}", 8 * n - 1)
     source = FreeCDGA((b4, v_top), {v_top: -(Polynomial.gen(b4) ** (2 * n))})
@@ -325,7 +279,7 @@ def comparison_morphism(case: str, n: Optional[int] = None) -> Morphism:
     return Morphism(source, target, images)
 
 
-_DESCRIPTIONS = {
+DESCRIPTIONS = {
     "prop31": (
         "Sp(1)\\(Sp(1)xSp(n-1))/Sp(n-1): the recorded conclusion calls the "
         "model contractible; the computed cohomology is nontrivial in "
@@ -346,36 +300,3 @@ _DESCRIPTIONS = {
         "plane."
     ),
 }
-
-
-@dataclass(frozen=True)
-class PresetCase:
-    """A fully assembled case: configuration, coefficients, and records."""
-
-    case: str
-    n: Optional[int]
-    description: str
-    classifying: ClassifyingData
-    betas: Optional[tuple[Fraction, ...]]
-    discrepancies: tuple[Discrepancy, ...]
-
-
-def preset_case(
-    case: str, n: Optional[int] = None, betas: Optional[tuple[Fraction, ...]] = None
-) -> PresetCase:
-    """Assemble a case by id, with optional parameter and coefficients."""
-    _check_case(case)
-    if case != "thm34" and n is None:
-        n = default_n(case)
-    data = classifying_data(case, n, betas)
-    if betas is None and case in ("prop32", "thm33"):
-        assert n is not None
-        betas = default_betas(case, n)
-    return PresetCase(
-        case=case,
-        n=n,
-        description=_DESCRIPTIONS[case],
-        classifying=data,
-        betas=betas,
-        discrepancies=discrepancies(case),
-    )

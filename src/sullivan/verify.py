@@ -18,25 +18,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from sullivan.cdga import FreeCDGA, compose_and_check, rename_generators, validate
+from sullivan.cdga import FreeCDGA, Morphism, compose_and_check, rename_generators, validate
 from sullivan.cohomology import RingPresentation, betti, is_quasi_iso, quotient_ring_dims
 from sullivan.constructors import biquotient_model, hp_model, projectivize, sphere_model
 from sullivan.constructors import PontryaginData
 from sullivan.dsl import DslError, parse_model, parse_morphism
 from sullivan.gradedalg import Generator, Polynomial
 from sullivan.presets import (
-    CASES,
+    DESCRIPTIONS,
     Discrepancy,
     classifying_data,
     comparison_morphism,
     data_text,
     discrepancies,
     pontryagin_setup,
-    preset_case,
+    resolve_n,
 )
+from sullivan.reduction import ReductionLog
 from sullivan.reduction import reduce as reduce_model
+
+# Every shipped case instance, in report order; each has a <case>_n<k>.bq
+# (or thm34.bq) document under sullivan/data.
+SHIPPED_INSTANCES: tuple[tuple[str, Optional[int]], ...] = (
+    ("thm34", None),
+    ("thm33", 2),
+    ("thm33", 3),
+    ("prop31", 2),
+    ("prop31", 3),
+    ("prop32", 2),
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,48 @@ def _gen_names(model: FreeCDGA) -> tuple[str, ...]:
     return tuple(g.name for g in model.generators)
 
 
+def _reduction_check(
+    name: str,
+    reduced: FreeCDGA,
+    log: ReductionLog,
+    gens: tuple[str, ...],
+    diffs: dict[str, Optional[str]],
+    steps: Optional[int] = None,
+) -> CheckResult:
+    """The reduction ends at generators gens with differentials diffs.
+
+    Generators absent from diffs must be closed; a None value accepts any
+    nonzero differential.  When steps is given, the log must hold exactly
+    that many changes of variable and that many cancellations.
+    """
+    got = _diff_summary(reduced)
+    ok = (
+        _gen_names(reduced) == gens
+        and got.keys() == diffs.keys()
+        and all(want in (None, got[g]) for g, want in diffs.items())
+        and (steps is None or len(log.changes()) == len(log.cancellations()) == steps)
+    )
+    final = ", ".join(f"d{g} = {v}" for g, v in got.items())
+    final = f", {final}" if final else " with zero differential"
+    return _check(name, ok, f"{log.render()}\nfinal generators {_gen_names(reduced)}{final}")
+
+
+def _quasi_iso_check(f: Morphism, max_degree: int, correction: str) -> CheckResult:
+    """f is a chain map and a quasi-isomorphism up to max_degree."""
+    violations = compose_and_check(f)
+    qi = is_quasi_iso(f, max_degree) if not violations else None
+    if qi is not None and qi.ok:
+        return _check(
+            "quasi-iso",
+            True,
+            f"quasi-isomorphism up to degree {max_degree} with the sign "
+            f"correction recorded in {correction}",
+        )
+    return _check(
+        "quasi-iso", False, "; ".join(violations) or f"failing degrees {qi.failing_degrees()}"
+    )
+
+
 def _evidence_check(case: str) -> CheckResult:
     """Confirm each recorded evidence file misbehaves exactly as recorded."""
     lines = []
@@ -93,7 +147,7 @@ def _evidence_check(case: str) -> CheckResult:
         if d.evidence.endswith(".model"):
             violations = validate(parse_model(text).to_model())
             good = bool(violations)
-            note = violations[0] if violations else "unexpectedly validates"
+            note = "; ".join(violations) if violations else "unexpectedly validates"
         elif d.evidence.endswith("_verbatim.morphism"):
             try:
                 parse_morphism(text)
@@ -112,12 +166,11 @@ def _evidence_check(case: str) -> CheckResult:
 # -- thm34 ----------------------------------------------------------------
 
 
-def _thm34_report() -> CaseReport:
+def _thm34_report(_: None) -> CaseReport:
     checks = []
     pe_betti = {0: 1, 4: 2, 8: 2, 12: 1}
 
-    pont = pontryagin_setup("thm34")
-    pe = projectivize(pont)
+    pe = projectivize(pontryagin_setup("thm34"))
     checks.append(
         _expect_equal(
             "pe-model",
@@ -148,34 +201,21 @@ def _thm34_report() -> CaseReport:
     checks.append(_expect_equal("biquotient-betti", _betti_dict(biq, 16), pe_betti))
 
     reduced, log = reduce_model(biq)
-    expected_diffs = {"v7": "-a4^2 + 3*a4*b4 - 3*b4^2", "v11": "-b4^3"}
-    shape_ok = (
-        _gen_names(reduced) == ("a4", "b4", "v7", "v11")
-        and _diff_summary(reduced) == expected_diffs
-        and len(log.changes()) == 1
-        and len(log.cancellations()) == 1
-    )
     checks.append(
-        _check(
+        _reduction_check(
             "reduction",
-            shape_ok,
-            log.render()
-            + f"\nfinal generators {_gen_names(reduced)}, "
-            + ", ".join(f"d{k} = {v}" for k, v in _diff_summary(reduced).items()),
+            reduced,
+            log,
+            ("a4", "b4", "v7", "v11"),
+            {"v7": "-a4^2 + 3*a4*b4 - 3*b4^2", "v11": "-b4^3"},
+            steps=1,
         )
     )
-
-    f = comparison_morphism("thm34")
-    violations = compose_and_check(f)
-    qi = is_quasi_iso(f, 16) if not violations else None
     checks.append(
-        _check(
-            "quasi-iso",
-            not violations and qi is not None and qi.ok,
-            "quasi-isomorphism up to degree 16 with the sign correction "
-            "recorded in f-chain-sign (images v7 -> -x7, a4 -> x4 - y4, b4 -> -y4)"
-            if qi is not None and qi.ok
-            else "; ".join(violations) or f"failing degrees {qi.failing_degrees()}",
+        _quasi_iso_check(
+            comparison_morphism("thm34"),
+            16,
+            "f-chain-sign (images v7 -> -x7, a4 -> x4 - y4, b4 -> -y4)",
         )
     )
     checks.append(_evidence_check("thm34"))
@@ -193,51 +233,36 @@ def _thm33_report(n: int) -> CaseReport:
 
     pe = projectivize(pontryagin_setup("thm33", n))
     pe_reduced, pe_log = reduce_model(pe, check_degree=max_degree)
-    pe_ok = (
-        _gen_names(pe_reduced) == ("x4", f"a{8 * n - 1}")
-        and _diff_summary(pe_reduced) == {f"a{8 * n - 1}": f"x4^{2 * n}"}
-    )
     checks.append(
-        _check(
+        _reduction_check(
             "pe-reduction",
-            pe_ok,
-            pe_log.render()
-            + f"\nfinal generators {_gen_names(pe_reduced)}, "
-            + ", ".join(f"d{k} = {v}" for k, v in _diff_summary(pe_reduced).items()),
+            pe_reduced,
+            pe_log,
+            ("x4", f"a{8 * n - 1}"),
+            {f"a{8 * n - 1}": f"x4^{2 * n}"},
         )
     )
     checks.append(_expect_equal("pe-betti", _betti_dict(pe, max_degree), expected))
 
     biq = biquotient_model(classifying_data("thm33", n))
     biq_reduced, biq_log = reduce_model(biq, check_degree=max_degree)
-    biq_ok = (
-        _gen_names(biq_reduced) == ("b4", f"v{8 * n - 1}")
-        and _diff_summary(biq_reduced) == {f"v{8 * n - 1}": f"-b4^{2 * n}"}
-    )
     checks.append(
-        _check(
+        _reduction_check(
             "biquotient-reduction",
-            biq_ok,
-            biq_log.render()
-            + f"\nfinal generators {_gen_names(biq_reduced)}, "
-            + ", ".join(f"d{k} = {v}" for k, v in _diff_summary(biq_reduced).items()),
+            biq_reduced,
+            biq_log,
+            ("b4", f"v{8 * n - 1}"),
+            {f"v{8 * n - 1}": f"-b4^{2 * n}"},
         )
     )
     checks.append(
         _expect_equal("biquotient-betti", _betti_dict(biq, max_degree), expected)
     )
-
-    eta = comparison_morphism("thm33", n)
-    violations = compose_and_check(eta)
-    qi = is_quasi_iso(eta, max_degree) if not violations else None
     checks.append(
-        _check(
-            "quasi-iso",
-            not violations and qi is not None and qi.ok,
-            f"quasi-isomorphism up to degree {max_degree} with the sign "
-            f"correction recorded in eta-image (v{8 * n - 1} -> -a{8 * n - 1})"
-            if qi is not None and qi.ok
-            else "; ".join(violations) or f"failing degrees {qi.failing_degrees()}",
+        _quasi_iso_check(
+            comparison_morphism("thm33", n),
+            max_degree,
+            f"eta-image (v{8 * n - 1} -> -a{8 * n - 1})",
         )
     )
     checks.append(_evidence_check("thm33"))
@@ -264,18 +289,7 @@ def _prop31_report(n: int) -> CaseReport:
     )
 
     reduced, log = reduce_model(biq)
-    reduced_ok = (
-        _gen_names(reduced) == ("z3", "a4")
-        and _diff_summary(reduced) == {}
-    )
-    checks.append(
-        _check(
-            "reduction",
-            reduced_ok,
-            log.render()
-            + f"\nfinal generators {_gen_names(reduced)} with zero differential",
-        )
-    )
+    checks.append(_reduction_check("reduction", reduced, log, ("z3", "a4"), {}))
 
     final_betti = _betti_dict(reduced, 8)
     conflict_recorded = any(d.key == "contractibility" for d in discrepancies("prop31"))
@@ -300,22 +314,15 @@ def _prop32_report(n: int) -> CaseReport:
     checks = []
     biq = biquotient_model(classifying_data("prop32", n))
     reduced, log = reduce_model(biq)
-    want_names = ("b4", "c4", f"a{4 * n - 1}", f"a{4 * n + 3}")
-    beta_top = Fraction(1)  # default binomial C(n+1, n+1)
-    top_diff = f"a{4 * n + 3}"
-    shape_ok = (
-        _gen_names(reduced) == want_names
-        and str(reduced.d(reduced.gen(top_diff))) == str(-beta_top * Polynomial.gen(Generator("c4", 4)) ** (n + 1))
-        and len(log.changes()) == n - 1
-        and len(log.cancellations()) == n - 1
-    )
+    # with the default top coefficient beta = C(n+1, n+1) = 1
     checks.append(
-        _check(
+        _reduction_check(
             "reduction",
-            shape_ok,
-            log.render()
-            + f"\nfinal generators {_gen_names(reduced)}, "
-            + ", ".join(f"d{k} = {v}" for k, v in _diff_summary(reduced).items()),
+            reduced,
+            log,
+            ("b4", "c4", f"a{4 * n - 1}", f"a{4 * n + 3}"),
+            {f"a{4 * n - 1}": None, f"a{4 * n + 3}": f"-c4^{n + 1}"},
+            steps=n - 1,
         )
     )
 
@@ -422,40 +429,31 @@ def run_dimension_law(max_degree: int = 24) -> CaseReport:
 # -- entry points ----------------------------------------------------------
 
 
+_REPORTS = {
+    "thm34": _thm34_report,
+    "thm33": _thm33_report,
+    "prop31": _prop31_report,
+    "prop32": _prop32_report,
+}
+
+
 def run_case(case: str, n: Optional[int] = None) -> CaseReport:
     """Run every check of one case; n defaults per case."""
-    runners: dict[str, Callable[..., CaseReport]] = {
-        "thm34": lambda n: _thm34_report(),
-        "thm33": lambda n: _thm33_report(n if n is not None else 2),
-        "prop31": lambda n: _prop31_report(n if n is not None else 2),
-        "prop32": lambda n: _prop32_report(n if n is not None else 2),
-    }
-    if case not in runners:
-        raise ValueError(f"unknown case {case!r}; expected one of {', '.join(CASES)}")
-    if case == "thm34" and n is not None:
-        raise ValueError("case thm34 takes no parameter n")
-    return runners[case](n)
+    n = resolve_n(case, n)
+    return _REPORTS[case](n)
 
 
 def run_all() -> tuple[CaseReport, ...]:
     """All shipped case instances plus the dimension-law matrix."""
-    return (
-        run_case("thm34"),
-        run_case("thm33", 2),
-        run_case("thm33", 3),
-        run_case("prop31", 2),
-        run_case("prop31", 3),
-        run_case("prop32", 2),
-        run_dimension_law(),
-    )
+    return tuple(run_case(case, n) for case, n in SHIPPED_INSTANCES) + (run_dimension_law(),)
 
 
 def render_report(report: CaseReport) -> str:
     """Human-readable rendering of one case report."""
     title = report.case if report.n is None else f"{report.case} (n = {report.n})"
     lines = [f"case {title}"]
-    if report.case in CASES:
-        lines.append(f"  {preset_case(report.case, report.n).description}")
+    if report.case in DESCRIPTIONS:
+        lines.append(f"  {DESCRIPTIONS[report.case]}")
     for check in report.checks:
         mark = "PASS" if check.ok else "FAIL"
         detail_lines = check.detail.splitlines() or [""]
@@ -475,3 +473,10 @@ def render_report(report: CaseReport) -> str:
     verdict = "PASS" if report.ok else "FAIL"
     lines.append(f"  result: {verdict} ({passed}/{len(report.checks)} checks)")
     return "\n".join(lines)
+
+
+def render_reports(reports: tuple[CaseReport, ...], suffix: str = "") -> str:
+    """Reports separated by blank lines, then a pass count ending in suffix."""
+    passed = sum(1 for r in reports if r.ok)
+    body = "\n\n".join(render_report(r) for r in reports)
+    return f"{body}\n\n{passed} of {len(reports)} case reports passed{suffix}"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.cdga import compose_and_check
-from sullivan.constructors import biquotient_model
+from sullivan.constructors import biquotient_model, projectivize
 from sullivan.dsl import parse_classifying, parse_morphism, parse_pontryagin
 from sullivan.presets import (
     CASES,
@@ -12,10 +12,9 @@ from sullivan.presets import (
     data_files,
     data_text,
     default_betas,
-    default_n,
     discrepancies,
     pontryagin_setup,
-    preset_case,
+    resolve_n,
 )
 
 
@@ -25,7 +24,6 @@ def test_case_list_is_fixed():
 
 def test_shipped_biquotient_documents_match_synthesis():
     pairs = [
-        ("thm34.bq", "thm34", None),
         ("prop31_n2.bq", "prop31", 2),
         ("prop31_n3.bq", "prop31", 3),
         ("prop32_n2.bq", "prop32", 2),
@@ -39,7 +37,6 @@ def test_shipped_biquotient_documents_match_synthesis():
 
 def test_shipped_pontryagin_documents_match_synthesis():
     for filename, case, n in [
-        ("thm34.pont", "thm34", None),
         ("thm33_n2.pont", "thm33", 2),
         ("thm33_n3.pont", "thm33", 3),
     ]:
@@ -50,7 +47,6 @@ def test_shipped_pontryagin_documents_match_synthesis():
 
 def test_shipped_morphism_documents_match_synthesis():
     for filename, case, n in [
-        ("thm34_f.morphism", "thm34", None),
         ("thm33_n2_eta.morphism", "thm33", 2),
         ("thm33_n3_eta.morphism", "thm33", 3),
     ]:
@@ -62,9 +58,17 @@ def test_shipped_morphism_documents_match_synthesis():
         assert compose_and_check(built) == []
 
 
+def test_thm34_morphism_targets_the_thm34_projectivization():
+    f = comparison_morphism("thm34")
+    assert f.target == projectivize(pontryagin_setup("thm34"))
+    assert tuple(g.name for g in f.source.generators) == ("a4", "b4", "v7", "v11")
+    assert compose_and_check(f) == []
+
+
 def test_default_parameters():
-    assert default_n("thm34") is None
-    assert default_n("prop31") == 2
+    assert resolve_n("thm34") is None
+    assert resolve_n("prop31") == 2
+    assert resolve_n("thm33", 5) == 5
     assert default_betas("prop32", 2) == (Fraction(3), Fraction(3), Fraction(1))
     assert default_betas("prop32", 3) == (Fraction(4), Fraction(6), Fraction(4), Fraction(1))
     assert default_betas("thm33", 2) == (Fraction(3), Fraction(3), Fraction(3), Fraction(1))
@@ -72,14 +76,16 @@ def test_default_parameters():
 
 
 def test_classifying_data_rejects_bad_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown case 'nonsense'"):
         classifying_data("nonsense")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="case thm34 takes no parameter n"):
         classifying_data("thm34", n=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="case thm33 needs n >= 1, got 0"):
         classifying_data("thm33", n=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="case prop31 needs n >= 2, got 1"):
         classifying_data("prop31", n=1)
+    with pytest.raises(ValueError, match="case prop32 needs n >= 2, got 1"):
+        pontryagin_setup("prop32", 1)
     with pytest.raises(ValueError):
         classifying_data("prop32", n=2, betas=(Fraction(1),))
     with pytest.raises(ValueError):
@@ -108,15 +114,6 @@ def test_discrepancy_records_are_complete():
             assert d.title and d.claim and d.issue
             if d.evidence is not None:
                 assert d.evidence in shipped, d.evidence
-
-
-def test_preset_case_bundles_everything():
-    pc = preset_case("prop32")
-    assert pc.case == "prop32" and pc.n == 2
-    assert pc.betas == (Fraction(3), Fraction(3), Fraction(1))
-    assert pc.description
-    assert [d.key for d in pc.discrepancies] == ["da-second-top-exponent", "da-top-exponent"]
-    assert biquotient_model(pc.classifying).generators
 
 
 def test_pontryagin_setup_shapes():

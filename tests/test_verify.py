@@ -1,6 +1,8 @@
 import pytest
 
+from sullivan.presets import DESCRIPTIONS, data_files
 from sullivan.verify import (
+    SHIPPED_INSTANCES,
     render_report,
     run_all,
     run_case,
@@ -41,7 +43,10 @@ def test_dimension_law_matrix_shape():
 
 def test_render_report_layout():
     text = render_report(run_case("prop31", 2))
-    assert text.splitlines()[0] == "case prop31 (n = 2)"
+    lines = text.splitlines()
+    assert lines[0] == "case prop31 (n = 2)"
+    assert lines[1] == "  " + DESCRIPTIONS["prop31"]
+    assert lines[1].startswith("  Sp(1)\\(Sp(1)xSp(n-1))/Sp(n-1): the recorded conclusion")
     assert "[PASS]" in text
     assert "known discrepancies:" in text
     assert "contractibility" in text
@@ -52,3 +57,17 @@ def test_render_report_for_thm34_mentions_sign_fix():
     text = render_report(run_case("thm34"))
     assert "f-chain-sign" in text
     assert "result: PASS (8/8 checks)" in text
+
+
+def test_shipped_instances_match_the_shipped_configurations():
+    names = [case if n is None else f"{case}_n{n}" for case, n in SHIPPED_INSTANCES]
+    assert len(set(names)) == len(names)
+    assert {f"{name}.bq" for name in names} == {f for f in data_files() if f.endswith(".bq")}
+
+
+def test_evidence_lists_every_violation_of_a_model_exhibit():
+    report = run_case("prop32", 2)
+    evidence = next(c for c in report.checks if c.name == "discrepancy-evidence")
+    top = next(line for line in evidence.detail.splitlines() if line.startswith("da-top-exponent:"))
+    assert "d(a11)" in top
+    assert "d(a7)" in top
