@@ -68,6 +68,12 @@ def _load_model(path: str) -> tuple[ModelDocument, FreeCDGA]:
     return doc, doc.to_model()
 
 
+def _check_bound(value: Optional[int], option: str, least: int = 0) -> None:
+    """Reject an integer option below its least value (0 for degree bounds)."""
+    if value is not None and value < least:
+        raise ValueError(f"{option} must be >= {least}, got {value}")
+
+
 def _print_betti_text(report, label: str) -> None:
     print(f"{label}: cohomology up to degree {report.max_degree}")
     reps_by_degree = report.representatives or {}
@@ -81,6 +87,7 @@ def _print_betti_text(report, label: str) -> None:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
+    _check_bound(args.max_degree, "--max-degree")
     doc, model = _load_model(args.model)
     max_degree = args.max_degree
     if max_degree is None:
@@ -103,6 +110,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    _check_bound(args.check_degree, "--check-degree")
     doc, model = _load_model(args.model)
     reduced, log = reduce(model, check_degree=args.check_degree)
     if args.log:
@@ -113,23 +121,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_biquotient(args: argparse.Namespace) -> int:
-    source = parse_source(_read_text(args.config))
-    if len(source.biquotients) != 1:
-        raise DslError(
-            f"expected exactly one biquotient document, found {len(source.biquotients)}",
-            1,
-            1,
-        )
-    name, doc = next(iter(source.biquotients.items()))
+    doc = parse_source(_read_text(args.config)).only("biquotient")
     model = biquotient_model(doc.to_classifying_data())
-    print(render_model(model, name=f"{name}_model"))
+    print(render_model(model, name=f"{doc.name}_model"))
     return 0
 
 
 def cmd_projectivize(args: argparse.Namespace) -> int:
     doc, base = _load_model(args.base)
-    if args.rank < 1:
-        raise ValueError(f"rank must be >= 1, got {args.rank}")
+    _check_bound(args.rank, "rank", least=1)
     data = parse_pontryagin(_read_text(args.pontryagin), base, args.rank)
     model = projectivize(data)
     print(render_model(model, name=f"{doc.name}_pe"))
@@ -137,6 +137,7 @@ def cmd_projectivize(args: argparse.Namespace) -> int:
 
 
 def cmd_quasi_iso(args: argparse.Namespace) -> int:
+    _check_bound(args.max_degree, "--max-degree")
     morphism = parse_morphism(_read_text(args.morphism))
     report = is_quasi_iso(morphism, args.max_degree)
     for degree in sorted(report.per_degree):
@@ -173,17 +174,20 @@ def _parse_relations(path: str, gens: Sequence[Generator]) -> tuple:
     env = {g.name: g for g in gens}
     relations = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip().rstrip(";").strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip().rstrip(";").strip()
         if not line:
             continue
+        indent = len(code) - len(code.lstrip())
         try:
             relations.append(parse_expression(line, env))
         except DslError as exc:
-            raise DslError(exc.message, lineno, exc.col) from None
+            raise DslError(exc.message, lineno, indent + exc.col) from None
     return tuple(relations)
 
 
 def cmd_quotient_dims(args: argparse.Namespace) -> int:
+    _check_bound(args.max_degree, "--max-degree")
     gens = _parse_gens_option(args.gens)
     relations = _parse_relations(args.relations, gens)
     pres = RingPresentation(gens, relations)

@@ -29,9 +29,7 @@ from sullivan.linalg import RowSpace, Vec
 DEFAULT_MAX_BASIS = 200_000
 
 
-def max_basis_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def max_basis_cap() -> int:
     env = os.environ.get("RHT_MAX_BASIS")
     if env is not None:
         try:
@@ -59,9 +57,9 @@ class _Stage:
 class Cohomology:
     """Per-model cache of exact cohomology data by degree."""
 
-    def __init__(self, model: FreeCDGA, max_basis: Optional[int] = None):
+    def __init__(self, model: FreeCDGA):
         self.model = model
-        self.cap = max_basis_cap(max_basis)
+        self.cap = max_basis_cap()
         self._stages: dict[int, _Stage] = {}
         self._h: dict[int, tuple[RowSpace, list[Vec]]] = {}
 
@@ -163,12 +161,11 @@ def betti(
     model: FreeCDGA,
     max_degree: Optional[int] = None,
     representatives: bool = False,
-    max_basis: Optional[int] = None,
 ) -> CohomologyReport:
     """Betti numbers (and optionally representatives) up to max_degree."""
     if max_degree is None:
         max_degree = default_max_degree(model)
-    coh = Cohomology(model, max_basis)
+    coh = Cohomology(model)
     b: dict[int, int] = {}
     zr: dict[int, int] = {}
     br: dict[int, int] = {}
@@ -212,13 +209,7 @@ def class_of(
     return CohomologyClass(n, tuple(coords), coh.to_polynomial(residue, n))
 
 
-def cup_product(
-    model: FreeCDGA,
-    a: Polynomial,
-    b: Polynomial,
-    max_degree: Optional[int] = None,
-    max_basis: Optional[int] = None,
-) -> CohomologyClass:
+def cup_product(model: FreeCDGA, a: Polynomial, b: Polynomial) -> CohomologyClass:
     """[a] * [b] as coordinates in the chosen basis of H of the product degree."""
     for p in (a, b):
         if not p.is_homogeneous() or p.is_zero():
@@ -227,11 +218,7 @@ def cup_product(
             raise NotACocycleError(f"d({p}) = {apply_d(model, p)} is nonzero")
     da, db = a.degree(), b.degree()
     assert da is not None and db is not None
-    if max_degree is not None and da + db > max_degree:
-        raise DegreeMismatchError(
-            f"product degree {da + db} exceeds max degree {max_degree}"
-        )
-    coh = Cohomology(model, max_basis)
+    coh = Cohomology(model)
     product = a * b
     n = da + db
     if product.is_zero():
@@ -263,17 +250,13 @@ class RingPresentation:
                 raise DegreeMismatchError(f"relation {r} is not homogeneous")
 
 
-def quotient_ring_dims(
-    pres: RingPresentation,
-    max_degree: int,
-    max_basis: Optional[int] = None,
-) -> dict[int, int]:
+def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int]:
     """Graded dimensions of the quotient, by brute-force spanning.
 
     In each degree the ideal is spanned by monomial multiples of the
     relations; no Groebner machinery, just exact ranks.
     """
-    cap = max_basis_cap(max_basis)
+    cap = max_basis_cap()
     dims: dict[int, int] = {}
     for n in range(max_degree + 1):
         basis = basis_of_degree(pres.generators, n, cap)
@@ -335,17 +318,13 @@ class QuasiIsoReport:
         return [n for n, v in self.per_degree.items() if not v.bijective]
 
 
-def is_quasi_iso(
-    m: Morphism,
-    max_degree: int,
-    max_basis: Optional[int] = None,
-) -> QuasiIsoReport:
+def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
     """Check bijectivity of the induced map on cohomology, degree by degree."""
     violations = compose_and_check(m)
     if violations:
         raise ValueError("not a CDGA morphism: " + "; ".join(violations))
-    src = Cohomology(m.source, max_basis)
-    tgt = Cohomology(m.target, max_basis)
+    src = Cohomology(m.source)
+    tgt = Cohomology(m.target)
     per_degree: dict[int, DegreeVerdict] = {}
     for n in range(max_degree + 1):
         reps = src.representatives(n)

@@ -92,15 +92,11 @@ class RawFactor:
 class RawTerm:
     coefficient: Fraction
     factors: tuple[RawFactor, ...]
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
 class RawExpr:
     terms: tuple[RawTerm, ...]
-    line: int
-    col: int
 
     def resolve(self, env: Mapping[str, Generator]) -> Polynomial:
         total = Polynomial.zero()
@@ -116,6 +112,14 @@ class RawExpr:
                 acc = acc * Polynomial.gen(g, f.exponent)
             total = total + acc
         return total
+
+
+def _one_of(words: tuple[str, ...]) -> str:
+    """The expected keys for an error: 'a' / 'a' or 'b' / 'a', 'b', or 'c'."""
+    quoted = [repr(w) for w in words]
+    if len(quoted) <= 2:
+        return " or ".join(quoted)
+    return ", ".join(quoted[:-1]) + ", or " + quoted[-1]
 
 
 class _Parser:
@@ -135,12 +139,13 @@ class _Parser:
         tok = tok or self.peek()
         return DslError(message, tok.line, tok.col)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else "end of input"
-            raise self.fail(f"expected {want!r}, found {got!r}")
+    def unexpected(self, what: str) -> "DslError":
+        """The error 'expected <what>, found <the next token>' at the next token."""
+        return self.fail(f"expected {what}, found {self.peek().text or 'end of input'!r}")
+
+    def expect(self, punct: str) -> Token:
+        if not self.at_punct(punct):
+            raise self.unexpected(repr(punct))
         return self.next()
 
     def at_punct(self, text: str) -> bool:
@@ -148,22 +153,26 @@ class _Parser:
         return tok.kind == "PUNCT" and tok.text == text
 
     def ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+        if self.peek().kind != "IDENT":
+            raise self.unexpected(what)
         return self.next()
 
+    def keyword(self, keys: tuple[str, ...], what: Optional[str] = None) -> Token:
+        """The next identifier, which must be one of keys."""
+        tok = self.ident(what or _one_of(keys))
+        if tok.text not in keys:
+            raise self.fail(f"expected {_one_of(keys)}, found {tok.text!r}", tok)
+        return tok
+
     def integer(self, what: str) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        self.next()
+        if self.peek().kind != "INT":
+            raise self.unexpected(what)
+        tok = self.next()
         return int(tok.text), tok
 
     # -- expressions -----------------------------------------------------
 
     def parse_expr(self) -> RawExpr:
-        start = self.peek()
         terms: list[RawTerm] = []
         sign = Fraction(1)
         if self.at_punct("+") or self.at_punct("-"):
@@ -173,10 +182,9 @@ class _Parser:
         while self.at_punct("+") or self.at_punct("-"):
             sign = Fraction(1) if self.next().text == "+" else Fraction(-1)
             terms.append(self.parse_term(sign))
-        return RawExpr(tuple(terms), start.line, start.col)
+        return RawExpr(tuple(terms))
 
     def parse_term(self, sign: Fraction) -> RawTerm:
-        start = self.peek()
         coeff = sign
         factors: list[RawFactor] = []
         if self.peek().kind == "INT":
@@ -194,8 +202,8 @@ class _Parser:
         elif self.peek().kind == "IDENT":
             factors = self.parse_factors()
         else:
-            raise self.fail(f"expected a term, found {self.peek().text or 'end of input'!r}")
-        return RawTerm(coeff, tuple(factors), start.line, start.col)
+            raise self.unexpected("a term")
+        return RawTerm(coeff, tuple(factors))
 
     def parse_factors(self) -> list[RawFactor]:
         factors = [self.parse_factor()]
@@ -221,6 +229,7 @@ class GenDecl:
     degree: int
     line: int
     col: int
+    alias: Optional[str] = None  # suspension name of a biquotient middle generator
 
 
 @dataclass(frozen=True)
@@ -231,6 +240,41 @@ class DiffDecl:
     col: int
 
 
+def _declare(decls: list[GenDecl], env: dict[str, Generator], noun: str) -> tuple[Generator, ...]:
+    """The declared generators, also entered into env, where no name may be yet."""
+    out = []
+    for decl in decls:
+        if decl.name in env:
+            raise DslError(f"{noun} {decl.name!r} declared twice", decl.line, decl.col)
+        if decl.degree < 1:
+            raise DslError(
+                f"generator degree must be >= 1, got {decl.degree}", decl.line, decl.col
+            )
+        env[decl.name] = Generator(decl.name, decl.degree)
+        out.append(env[decl.name])
+    return tuple(out)
+
+
+def _assign(
+    decls: list[DiffDecl],
+    targets: Mapping[str, Generator],
+    env: Mapping[str, Generator],
+    unknown: str,
+    twice: str,
+) -> dict[Generator, Polynomial]:
+    """Assigned generators of targets -> expressions over env; the error
+    texts unknown and twice are formatted with the assigned name."""
+    out: dict[Generator, Polynomial] = {}
+    for decl in decls:
+        g = targets.get(decl.gen_name)
+        if g is None:
+            raise DslError(unknown.format(decl.gen_name), decl.line, decl.col)
+        if g in out:
+            raise DslError(twice.format(decl.gen_name), decl.line, decl.col)
+        out[g] = decl.expr.resolve(env)
+    return out
+
+
 @dataclass
 class ModelDocument:
     name: str
@@ -239,25 +283,11 @@ class ModelDocument:
 
     def to_model(self) -> FreeCDGA:
         env: dict[str, Generator] = {}
-        for decl in self.gens:
-            if decl.name in env:
-                raise DslError(f"generator {decl.name!r} declared twice", decl.line, decl.col)
-            if decl.degree < 1:
-                raise DslError(
-                    f"generator degree must be >= 1, got {decl.degree}", decl.line, decl.col
-                )
-            env[decl.name] = Generator(decl.name, decl.degree)
-        diff: dict[Generator, Polynomial] = {}
-        for decl in self.diffs:
-            g = env.get(decl.gen_name)
-            if g is None:
-                raise DslError(f"unknown generator {decl.gen_name!r}", decl.line, decl.col)
-            if g in diff:
-                raise DslError(
-                    f"differential of {decl.gen_name!r} assigned twice", decl.line, decl.col
-                )
-            diff[g] = decl.expr.resolve(env)
-        return FreeCDGA(tuple(env.values()), diff)
+        gens = _declare(self.gens, env, "generator")
+        diff = _assign(
+            self.diffs, env, env, "unknown generator {!r}", "differential of {!r} assigned twice"
+        )
+        return FreeCDGA(gens, diff)
 
 
 @dataclass
@@ -265,7 +295,7 @@ class MorphismDocument:
     name: str
     source_name: str
     target_name: str
-    assignments: list[tuple[str, RawExpr, int, int]]
+    assignments: list[DiffDecl]
     line: int
     col: int
 
@@ -276,15 +306,13 @@ class MorphismDocument:
             raise DslError(f"unknown target model {self.target_name!r}", self.line, self.col)
         source = models[self.source_name]
         target = models[self.target_name]
-        target_env = {g.name: g for g in target.generators}
-        images: dict[Generator, Polynomial] = {}
-        for gen_name, expr, line, col in self.assignments:
-            if not source.has_gen(gen_name):
-                raise DslError(f"unknown source generator {gen_name!r}", line, col)
-            g = source.gen(gen_name)
-            if g in images:
-                raise DslError(f"image of {gen_name!r} assigned twice", line, col)
-            images[g] = expr.resolve(target_env)
+        images = _assign(
+            self.assignments,
+            {g.name: g for g in source.generators},
+            {g.name: g for g in target.generators},
+            "unknown source generator {!r}",
+            "image of {!r} assigned twice",
+        )
         morphism = Morphism(source, target, images)
         if check:
             violations = compose_and_check(morphism)
@@ -302,56 +330,33 @@ class BiquotientDocument:
     name: str
     wh: list[GenDecl]
     wk: list[GenDecl]
-    v: list[tuple[GenDecl, Optional[str]]]  # declaration, suspension name
+    v: list[GenDecl]
     phi_h: list[DiffDecl]
     phi_k: list[DiffDecl]
 
     def to_classifying_data(self) -> ClassifyingData:
-        def build(decls: list[GenDecl], seen: dict[str, GenDecl]) -> tuple[Generator, ...]:
-            out = []
-            for decl in decls:
-                if decl.name in seen:
-                    raise DslError(f"name {decl.name!r} declared twice", decl.line, decl.col)
-                seen[decl.name] = decl
-                out.append(Generator(decl.name, decl.degree))
-            return tuple(out)
-
-        seen: dict[str, GenDecl] = {}
-        wh = build(self.wh, seen)
-        wk = build(self.wk, seen)
-        v = build([decl for decl, _ in self.v], seen)
+        seen: dict[str, Generator] = {}
+        wh = _declare(self.wh, seen, "name")
+        wk = _declare(self.wk, seen, "name")
+        v = _declare(self.v, seen, "name")
         v_by_name = {g.name: g for g in v}
-        wh_env = {g.name: g for g in wh}
-        wk_env = {g.name: g for g in wk}
-        suspension_names: dict[Generator, str] = {}
-        for (decl, sname), g in zip(self.v, v):
-            if sname is not None:
-                suspension_names[g] = sname
 
-        def resolve_maps(decls: list[DiffDecl], env: dict[str, Generator], side: str):
-            out: dict[Generator, Polynomial] = {}
-            for decl in decls:
-                g = v_by_name.get(decl.gen_name)
-                if g is None:
-                    raise DslError(
-                        f"{side} assigned to unknown middle generator {decl.gen_name!r}",
-                        decl.line,
-                        decl.col,
-                    )
-                if g in out:
-                    raise DslError(
-                        f"{side}({decl.gen_name}) assigned twice", decl.line, decl.col
-                    )
-                out[g] = decl.expr.resolve(env)
-            return out
+        def restriction(decls: list[DiffDecl], side: tuple[Generator, ...], label: str):
+            return _assign(
+                decls,
+                v_by_name,
+                {g.name: g for g in side},
+                label + " assigned to unknown middle generator {!r}",
+                label + "({}) assigned twice",
+            )
 
         return ClassifyingData(
             wh=wh,
             wk=wk,
             v=v,
-            phi_h=resolve_maps(self.phi_h, wh_env, "phiH"),
-            phi_k=resolve_maps(self.phi_k, wk_env, "phiK"),
-            suspension_names=suspension_names,
+            phi_h=restriction(self.phi_h, wh, "phiH"),
+            phi_k=restriction(self.phi_k, wk, "phiK"),
+            suspension_names={g: d.alias for d, g in zip(self.v, v) if d.alias is not None},
         )
 
 
@@ -386,143 +391,119 @@ class Source:
     def resolved_models(self) -> dict[str, FreeCDGA]:
         return {name: doc.to_model() for name, doc in self.models.items()}
 
+    def only(self, kind: str, name: Optional[str] = None):
+        """The document of a kind ('model', 'morphism', ...) with the given
+        name, or without a name the only document of that kind in the file."""
+        table = getattr(self, _DOCUMENTS[kind][0])
+        if name is not None:
+            if name not in table:
+                raise DslError(f"no {kind} named {name!r} in the file", 1, 1)
+            return table[name]
+        if len(table) != 1:
+            raise DslError(f"expected exactly one {kind} document, found {len(table)}", 1, 1)
+        return next(iter(table.values()))
+
 
 def parse_source(text: str) -> Source:
     parser = _Parser(_lex(text))
     source = Source()
-
-    def register(table: dict, name: str, doc, tok: Token) -> None:
-        if name in table:
-            raise DslError(f"document {name!r} defined twice", tok.line, tok.col)
-        table[name] = doc
-
     while parser.peek().kind != "EOF":
-        head = parser.ident("a document keyword")
-        if head.text == "model":
-            name_tok = parser.ident("a model name")
-            register(source.models, name_tok.text, _parse_model_body(parser, name_tok.text), name_tok)
-        elif head.text == "morphism":
-            name_tok = parser.ident("a morphism name")
-            register(
-                source.morphisms, name_tok.text, _parse_morphism_body(parser, name_tok), name_tok
-            )
-        elif head.text == "biquotient":
-            name_tok = parser.ident("a biquotient name")
-            register(
-                source.biquotients,
-                name_tok.text,
-                _parse_biquotient_body(parser, name_tok.text),
-                name_tok,
-            )
-        elif head.text == "pontryagin":
-            name_tok = parser.ident("a pontryagin name")
-            register(
-                source.pontryagin,
-                name_tok.text,
-                _parse_pontryagin_body(parser, name_tok.text),
-                name_tok,
-            )
-        else:
-            raise parser.fail(
-                f"expected 'model', 'morphism', 'biquotient', or 'pontryagin', "
-                f"found {head.text!r}",
-                head,
-            )
+        head = parser.keyword(tuple(_DOCUMENTS), "a document keyword")
+        table_name, parse_body = _DOCUMENTS[head.text]
+        name_tok = parser.ident(f"a {head.text} name")
+        table = getattr(source, table_name)
+        doc = parse_body(parser, name_tok)
+        if name_tok.text in table:
+            raise parser.fail(f"document {name_tok.text!r} defined twice", name_tok)
+        table[name_tok.text] = doc
     return source
 
 
-def _parse_model_body(parser: _Parser, name: str) -> ModelDocument:
-    parser.expect("PUNCT", "{")
-    doc = ModelDocument(name, [], [])
+# Statement forms of the model and biquotient bodies: a key followed by ':'
+# declares a generator (KEY NAME : INT ;), a key followed by '=' assigns an
+# expression to one (KEY NAME = EXPR ;).  Only a biquotient's middle
+# generators, key 'v', may name their suspension with a trailing `as NAME`.
+# The keys are in the field order of the document a body makes.
+_MODEL_FORMS = {"gen": ":", "d": "="}
+_BIQUOTIENT_FORMS = {"wh": ":", "wk": ":", "v": ":", "phiH": "=", "phiK": "="}
+
+
+def _parse_statements(
+    parser: _Parser, forms: Mapping[str, str], assigned: str = "a generator name"
+) -> list[list]:
+    """A `{ ... }` body: one list of GenDecls or DiffDecls per key, in key order.
+    assigned names what an assignment's name must be, for errors."""
+    keys = tuple(forms)
+    out: dict[str, list] = {key: [] for key in keys}
+    parser.expect("{")
     while not parser.at_punct("}"):
-        key = parser.ident("'gen' or 'd'")
-        if key.text == "gen":
-            gen_tok = parser.ident("a generator name")
-            parser.expect("PUNCT", ":")
+        key = parser.keyword(keys).text
+        gen_tok = parser.ident("a generator name" if forms[key] == ":" else assigned)
+        parser.expect(forms[key])
+        if forms[key] == ":":
             degree, _ = parser.integer("a degree")
-            parser.expect("PUNCT", ";")
-            doc.gens.append(GenDecl(gen_tok.text, degree, gen_tok.line, gen_tok.col))
-        elif key.text == "d":
-            gen_tok = parser.ident("a generator name")
-            parser.expect("PUNCT", "=")
-            expr = parser.parse_expr()
-            parser.expect("PUNCT", ";")
-            doc.diffs.append(DiffDecl(gen_tok.text, expr, gen_tok.line, gen_tok.col))
+            alias: Optional[str] = None
+            if key == "v" and parser.peek().text == "as":
+                parser.next()
+                alias = parser.ident("a suspension name").text
+            out[key].append(GenDecl(gen_tok.text, degree, gen_tok.line, gen_tok.col, alias))
         else:
-            raise parser.fail(f"expected 'gen' or 'd', found {key.text!r}", key)
-    parser.expect("PUNCT", "}")
-    return doc
+            expr = parser.parse_expr()
+            out[key].append(DiffDecl(gen_tok.text, expr, gen_tok.line, gen_tok.col))
+        parser.expect(";")
+    parser.expect("}")
+    return list(out.values())
+
+
+def _parse_model_body(parser: _Parser, name_tok: Token) -> ModelDocument:
+    return ModelDocument(name_tok.text, *_parse_statements(parser, _MODEL_FORMS))
+
+
+def _parse_biquotient_body(parser: _Parser, name_tok: Token) -> BiquotientDocument:
+    body = _parse_statements(parser, _BIQUOTIENT_FORMS, "a middle generator name")
+    return BiquotientDocument(name_tok.text, *body)
 
 
 def _parse_morphism_body(parser: _Parser, name_tok: Token) -> MorphismDocument:
-    parser.expect("PUNCT", ":")
+    parser.expect(":")
     src = parser.ident("a source model name")
-    parser.expect("PUNCT", "->")
+    parser.expect("->")
     dst = parser.ident("a target model name")
-    parser.expect("PUNCT", "{")
+    parser.expect("{")
     doc = MorphismDocument(
         name_tok.text, src.text, dst.text, [], name_tok.line, name_tok.col
     )
     while not parser.at_punct("}"):
         gen_tok = parser.ident("a source generator name")
-        parser.expect("PUNCT", "->")
+        parser.expect("->")
         expr = parser.parse_expr()
-        parser.expect("PUNCT", ";")
-        doc.assignments.append((gen_tok.text, expr, gen_tok.line, gen_tok.col))
-    parser.expect("PUNCT", "}")
+        parser.expect(";")
+        doc.assignments.append(DiffDecl(gen_tok.text, expr, gen_tok.line, gen_tok.col))
+    parser.expect("}")
     return doc
 
 
-def _parse_biquotient_body(parser: _Parser, name: str) -> BiquotientDocument:
-    parser.expect("PUNCT", "{")
-    doc = BiquotientDocument(name, [], [], [], [], [])
+def _parse_pontryagin_body(parser: _Parser, name_tok: Token) -> PontryaginDocument:
+    parser.expect("{")
+    doc = PontryaginDocument(name_tok.text, [])
     while not parser.at_punct("}"):
-        key = parser.ident("'wh', 'wk', 'v', 'phiH', or 'phiK'")
-        if key.text in ("wh", "wk", "v"):
-            gen_tok = parser.ident("a generator name")
-            parser.expect("PUNCT", ":")
-            degree, _ = parser.integer("a degree")
-            sname: Optional[str] = None
-            if key.text == "v" and parser.peek().kind == "IDENT" and parser.peek().text == "as":
-                parser.next()
-                sname = parser.ident("a suspension name").text
-            parser.expect("PUNCT", ";")
-            decl = GenDecl(gen_tok.text, degree, gen_tok.line, gen_tok.col)
-            if key.text == "wh":
-                doc.wh.append(decl)
-            elif key.text == "wk":
-                doc.wk.append(decl)
-            else:
-                doc.v.append((decl, sname))
-        elif key.text in ("phiH", "phiK"):
-            gen_tok = parser.ident("a middle generator name")
-            parser.expect("PUNCT", "=")
-            expr = parser.parse_expr()
-            parser.expect("PUNCT", ";")
-            decl = DiffDecl(gen_tok.text, expr, gen_tok.line, gen_tok.col)
-            (doc.phi_h if key.text == "phiH" else doc.phi_k).append(decl)
-        else:
-            raise parser.fail(
-                f"expected 'wh', 'wk', 'v', 'phiH', or 'phiK', found {key.text!r}", key
-            )
-    parser.expect("PUNCT", "}")
-    return doc
-
-
-def _parse_pontryagin_body(parser: _Parser, name: str) -> PontryaginDocument:
-    parser.expect("PUNCT", "{")
-    doc = PontryaginDocument(name, [])
-    while not parser.at_punct("}"):
-        key = parser.ident("'p'")
-        if key.text != "p":
-            raise parser.fail(f"expected 'p', found {key.text!r}", key)
+        parser.keyword(("p",))
         idx, itok = parser.integer("a class index")
-        parser.expect("PUNCT", "=")
+        parser.expect("=")
         expr = parser.parse_expr()
-        parser.expect("PUNCT", ";")
+        parser.expect(";")
         doc.entries.append((idx, expr, itok.line, itok.col))
-    parser.expect("PUNCT", "}")
+    parser.expect("}")
     return doc
+
+
+# Document keyword -> (Source table, body parser).
+_DOCUMENTS = {
+    "model": ("models", _parse_model_body),
+    "morphism": ("morphisms", _parse_morphism_body),
+    "biquotient": ("biquotients", _parse_biquotient_body),
+    "pontryagin": ("pontryagin", _parse_pontryagin_body),
+}
 
 
 # -- convenience entry points -------------------------------------------
@@ -530,64 +511,31 @@ def _parse_pontryagin_body(parser: _Parser, name: str) -> PontryaginDocument:
 
 def parse_model(text: str, name: Optional[str] = None) -> ModelDocument:
     """The single (or named) model document of a file."""
-    source = parse_source(text)
-    if name is not None:
-        if name not in source.models:
-            raise DslError(f"no model named {name!r} in the file", 1, 1)
-        return source.models[name]
-    if len(source.models) != 1:
-        raise DslError(
-            f"expected exactly one model document, found {len(source.models)}", 1, 1
-        )
-    return next(iter(source.models.values()))
+    return parse_source(text).only("model", name)
 
 
 def parse_morphism(text: str, check: bool = True) -> Morphism:
     """The single morphism of a file, resolved against its model documents."""
     source = parse_source(text)
-    if len(source.morphisms) != 1:
-        raise DslError(
-            f"expected exactly one morphism document, found {len(source.morphisms)}", 1, 1
-        )
-    doc = next(iter(source.morphisms.values()))
-    return doc.to_morphism(source.resolved_models(), check=check)
+    return source.only("morphism").to_morphism(source.resolved_models(), check=check)
 
 
 def parse_classifying(text: str, name: Optional[str] = None) -> ClassifyingData:
     """The single (or named) biquotient document of a file, resolved."""
-    source = parse_source(text)
-    if name is not None:
-        if name not in source.biquotients:
-            raise DslError(f"no biquotient named {name!r} in the file", 1, 1)
-        return source.biquotients[name].to_classifying_data()
-    if len(source.biquotients) != 1:
-        raise DslError(
-            f"expected exactly one biquotient document, found {len(source.biquotients)}",
-            1,
-            1,
-        )
-    return next(iter(source.biquotients.values())).to_classifying_data()
+    return parse_source(text).only("biquotient", name).to_classifying_data()
 
 
 def parse_pontryagin(text: str, base: FreeCDGA, rank: int) -> PontryaginData:
     """The single pontryagin document of a file, resolved over a base model."""
-    source = parse_source(text)
-    if len(source.pontryagin) != 1:
-        raise DslError(
-            f"expected exactly one pontryagin document, found {len(source.pontryagin)}",
-            1,
-            1,
-        )
-    return next(iter(source.pontryagin.values())).to_data(base, rank)
+    return parse_source(text).only("pontryagin").to_data(base, rank)
 
 
 def parse_expression(text: str, gens: Mapping[str, Generator]) -> Polynomial:
     """A standalone expression over the given generators."""
     parser = _Parser(_lex(text))
     expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise DslError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    if parser.peek().kind != "EOF":
+        raise parser.fail(f"unexpected trailing input {parser.peek().text!r}")
     return expr.resolve(gens)
 
 
@@ -598,15 +546,14 @@ def check_document(doc: ModelDocument) -> list[str]:
     them so the offending line is part of the message.
     """
     model = doc.to_model()
-    positions = {decl.gen_name: (decl.line, decl.col) for decl in doc.diffs}
+    decls = {decl.gen_name: decl for decl in doc.diffs}
     out = []
     for violation in validate(model):
         hit = re.search(r"\(([A-Za-z_][A-Za-z0-9_']*)\)", violation)
-        pos = positions.get(hit.group(1)) if hit else None
-        if pos:
-            out.append(f"line {pos[0]}, column {pos[1]}: {violation}")
-        else:
-            out.append(violation)
+        decl = decls.get(hit.group(1)) if hit else None
+        if decl:
+            violation = str(DslError(violation, decl.line, decl.col))
+        out.append(violation)
     return out
 
 

@@ -157,10 +157,34 @@ def test_quotient_dims_rejects_bad_gen_spec(tmp_path, capsys):
 
 
 def test_quotient_dims_positions_relation_errors(tmp_path, capsys):
-    relations = write(tmp_path, "rels.txt", "x4^2\nx4 + w4\n")
+    relations = write(tmp_path, "rels.txt", "x4^2\n   x4 + w4\n")
     assert main(["quotient-dims", "--gens", "x4:4", "--relations", relations]) == 2
     err = capsys.readouterr().err
-    assert "line 2" in err and "unknown generator 'w4'" in err
+    assert "line 2, column 9: unknown generator 'w4'" in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["cohomology", "{hp2}", "--max-degree", "-3"], "--max-degree"),
+        (["reduce", "{hp2}", "--check-degree", "-5"], "--check-degree"),
+        (["quasi-iso", "{morphism}", "--max-degree", "-1"], "--max-degree"),
+        (["quotient-dims", "--gens", "x4:4", "--relations", "{rels}", "--max-degree", "-2"],
+         "--max-degree"),
+    ],
+    ids=["cohomology", "reduce", "quasi-iso", "quotient-dims"],
+)
+def test_negative_degree_bounds_are_bad_input(tmp_path, hp2_file, capsys, command, option):
+    files = {
+        "hp2": hp2_file,
+        "morphism": write(tmp_path, "f.morphism", data_text("thm34_f.morphism")),
+        "rels": write(tmp_path, "rels.txt", "x4^2\n"),
+    }
+    argv = [arg.format(**files) for arg in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be >= 0, got -")
 
 
 def test_paper_verify_single_case(capsys):

@@ -166,13 +166,13 @@ def test_max_basis_cap_env_override(monkeypatch):
     default = max_basis_cap()
     monkeypatch.setenv("RHT_MAX_BASIS", "123")
     assert max_basis_cap() == 123
-    assert max_basis_cap(7) == 7
     monkeypatch.setenv("RHT_MAX_BASIS", "not-a-number")
     with pytest.raises(ResourceLimitError, match="bad RHT_MAX_BASIS"):
         max_basis_cap()
     assert default > 0
 
 
-def test_betti_respects_basis_cap():
+def test_betti_respects_basis_cap(monkeypatch):
+    monkeypatch.setenv("RHT_MAX_BASIS", "10")
     with pytest.raises(ResourceLimitError):
-        betti(bsp_model(3), 40, max_basis=10)
+        betti(bsp_model(3), 40)

@@ -118,6 +118,9 @@ def test_document_error_positions():
         lambda: parse_model("model M {\n  gen x4 : 4;\n  gen x4 : 4;\n}\n").to_model()
     ) == "line 3, column 7: generator 'x4' declared twice"
     assert positioned_error(
+        lambda: parse_classifying("biquotient B {\n  wh a : 0;\n}\n")
+    ) == "line 2, column 6: generator degree must be >= 1, got 0"
+    assert positioned_error(
         lambda: parse_source("widget W {\n}\n")
     ) == "line 1, column 1: expected 'model', 'morphism', 'biquotient', or 'pontryagin', found 'widget'"
 

@@ -5,8 +5,10 @@ import pytest
 from sullivan.cdga import FreeCDGA
 from sullivan.cohomology import betti
 from sullivan.constructors import biquotient_model
+from sullivan.errors import VerificationFailedError
 from sullivan.gradedalg import Generator, Polynomial
 from sullivan.presets import classifying_data
+from sullivan import reduction
 from sullivan.reduction import (
     Cancellation,
     ChangeOfVariable,
@@ -62,6 +64,23 @@ def test_reduce_direct_cancellation_without_change():
     action = log.steps[0].action
     assert isinstance(action, Cancellation)
     assert action.describe() == "cancel (v3, x4)   [scalar 2]"
+
+
+def test_reduce_names_a_step_that_changes_betti_numbers(monkeypatch):
+    real_cancel = reduction.cancel_acyclic_pair
+
+    def cancel_and_drop_v7(model, v):
+        # a faulty step: the real cancellation, then the closed class v7 is lost
+        out, cert = real_cancel(model, v)
+        kept = tuple(g for g in out.generators if g != v7)
+        return FreeCDGA(kept, {g: out.d(g) for g in kept}), cert
+
+    monkeypatch.setattr(reduction, "cancel_acyclic_pair", cancel_and_drop_v7)
+    m = FreeCDGA((v3, x4, v7), {v3: 2 * Polynomial.gen(x4)})
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(m, check_degree=10)
+    assert "betti numbers changed at step 'cancel (" in str(info.value)
+    assert "{7: (1, 0)}" in str(info.value)
 
 
 def test_reduce_introduces_fresh_variable_for_residue():
