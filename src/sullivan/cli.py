@@ -22,6 +22,7 @@ from sullivan.cdga import FreeCDGA
 from sullivan.cohomology import (
     RingPresentation,
     betti,
+    check_bound,
     default_max_degree,
     is_quasi_iso,
     quotient_ring_dims,
@@ -68,12 +69,6 @@ def _load_model(path: str) -> tuple[ModelDocument, FreeCDGA]:
     return doc, doc.to_model()
 
 
-def _check_bound(value: Optional[int], option: str, least: int = 0) -> None:
-    """Reject an integer option below its least value (0 for degree bounds)."""
-    if value is not None and value < least:
-        raise ValueError(f"{option} must be >= {least}, got {value}")
-
-
 def _print_betti_text(report, label: str) -> None:
     print(f"{label}: cohomology up to degree {report.max_degree}")
     reps_by_degree = report.representatives or {}
@@ -87,7 +82,7 @@ def _print_betti_text(report, label: str) -> None:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
-    _check_bound(args.max_degree, "--max-degree")
+    check_bound(args.max_degree, "--max-degree")
     doc, model = _load_model(args.model)
     max_degree = args.max_degree
     if max_degree is None:
@@ -110,7 +105,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    _check_bound(args.check_degree, "--check-degree")
+    check_bound(args.check_degree, "--check-degree")
     doc, model = _load_model(args.model)
     reduced, log = reduce(model, check_degree=args.check_degree)
     if args.log:
@@ -129,7 +124,7 @@ def cmd_biquotient(args: argparse.Namespace) -> int:
 
 def cmd_projectivize(args: argparse.Namespace) -> int:
     doc, base = _load_model(args.base)
-    _check_bound(args.rank, "rank", least=1)
+    check_bound(args.rank, "rank", least=1)
     data = parse_pontryagin(_read_text(args.pontryagin), base, args.rank)
     model = projectivize(data)
     print(render_model(model, name=f"{doc.name}_pe"))
@@ -137,7 +132,7 @@ def cmd_projectivize(args: argparse.Namespace) -> int:
 
 
 def cmd_quasi_iso(args: argparse.Namespace) -> int:
-    _check_bound(args.max_degree, "--max-degree")
+    check_bound(args.max_degree, "--max-degree")
     morphism = parse_morphism(_read_text(args.morphism))
     report = is_quasi_iso(morphism, args.max_degree)
     for degree in sorted(report.per_degree):
@@ -187,7 +182,7 @@ def _parse_relations(path: str, gens: Sequence[Generator]) -> tuple:
 
 
 def cmd_quotient_dims(args: argparse.Namespace) -> int:
-    _check_bound(args.max_degree, "--max-degree")
+    check_bound(args.max_degree, "--max-degree")
     gens = _parse_gens_option(args.gens)
     relations = _parse_relations(args.relations, gens)
     pres = RingPresentation(gens, relations)
@@ -234,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-degree",
         type=int,
         default=DEFAULT_CHECK_DEGREE,
-        help="verify betti numbers up to this degree after each step (0 disables)",
+        help="verify betti numbers up to this degree before and after (0 disables)",
     )
     p.add_argument("--log", action="store_true", help="print the step log")
     p.set_defaults(func=cmd_reduce)

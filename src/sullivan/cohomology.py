@@ -39,6 +39,12 @@ def max_basis_cap() -> int:
     return DEFAULT_MAX_BASIS
 
 
+def check_bound(value: Optional[int], name: str, least: int = 0) -> None:
+    """Reject an integer bound below its least value (0 for degree bounds)."""
+    if value is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def default_max_degree(model: FreeCDGA) -> int:
     return min(4 * len(model.generators), 40)
 
@@ -163,6 +169,7 @@ def betti(
     representatives: bool = False,
 ) -> CohomologyReport:
     """Betti numbers (and optionally representatives) up to max_degree."""
+    check_bound(max_degree, "max_degree")
     if max_degree is None:
         max_degree = default_max_degree(model)
     coh = Cohomology(model)
@@ -235,9 +242,13 @@ class RingPresentation:
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
+        names: set[str] = set()
         for g in self.generators:
             if g.odd:
                 raise ValueError(f"presentation generator {g.name} has odd degree")
+            if g.name in names:
+                raise ValueError(f"duplicate generator name {g.name}")
+            names.add(g.name)
         known = set(self.generators)
         for r in self.relations:
             if r.is_zero():
@@ -256,6 +267,7 @@ def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int
     In each degree the ideal is spanned by monomial multiples of the
     relations; no Groebner machinery, just exact ranks.
     """
+    check_bound(max_degree, "max_degree")
     cap = max_basis_cap()
     dims: dict[int, int] = {}
     for n in range(max_degree + 1):
@@ -320,6 +332,7 @@ class QuasiIsoReport:
 
 def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
     """Check bijectivity of the induced map on cohomology, degree by degree."""
+    check_bound(max_degree, "max_degree")
     violations = compose_and_check(m)
     if violations:
         raise ValueError("not a CDGA morphism: " + "; ".join(violations))

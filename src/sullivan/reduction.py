@@ -9,13 +9,20 @@ scanned in (degree, name) order, and among the eligible linear candidates
 inside one differential the generator latest in that order is eliminated,
 which keeps the earliest-named generators in the final presentation.
 
-With a positive check degree every step is verified to preserve Betti
-numbers, and the verified snapshots are kept in the log.
+A positive check degree verifies the reduction at its endpoints: when at
+least one step was taken, the Betti numbers up to that degree of the
+reduced model are compared with those of the input.  Each step is a change
+of variable (an isomorphism) or the cancellation of a contractible pair (a
+quasi-isomorphism), so a correct reduction always passes.  Only when the
+endpoints differ is every step checked, and the first step that changes the
+Betti numbers is named.  The log keeps the model each step leaves; its Betti
+snapshots are computed on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -24,7 +31,7 @@ from sullivan.cdga import (
     cancel_acyclic_pair,
     change_of_variable,
 )
-from sullivan.cohomology import betti
+from sullivan.cohomology import betti, check_bound
 from sullivan.errors import VerificationFailedError
 from sullivan.gradedalg import Generator, Monomial, Polynomial, substitute
 
@@ -91,17 +98,36 @@ class Cancellation:
 Step = Union[ChangeOfVariable, Cancellation]
 
 
+def _snapshot(model: FreeCDGA, check_degree: int) -> Optional[dict[int, int]]:
+    return betti(model, check_degree).betti if check_degree > 0 else None
+
+
 @dataclass
 class ReductionStep:
+    """One action of a reduction and the model it leaves."""
+
     action: Step
-    betti_after: Optional[dict[int, int]] = None
+    model: FreeCDGA
+    check_degree: int
+
+    @cached_property
+    def betti_after(self) -> Optional[dict[int, int]]:
+        """Betti numbers of the model after this step up to the check degree
+        (None when it is 0), computed on first access."""
+        return _snapshot(self.model, self.check_degree)
 
 
 @dataclass
 class ReductionLog:
     check_degree: int
-    betti_before: Optional[dict[int, int]]
+    start: FreeCDGA
     steps: list[ReductionStep]
+
+    @cached_property
+    def betti_before(self) -> Optional[dict[int, int]]:
+        """Betti numbers of the input model up to the check degree (None
+        when it is 0), computed on first access."""
+        return _snapshot(self.start, self.check_degree)
 
     def render(self) -> str:
         lines = []
@@ -110,6 +136,8 @@ class ReductionLog:
         if not self.steps:
             lines.append("no reducible pair; model unchanged")
         elif self.check_degree > 0:
+            # Equal endpoints, with every step an isomorphism or a
+            # quasi-isomorphism, leave the Betti numbers unchanged throughout.
             lines.append(
                 f"betti numbers verified unchanged up to degree {self.check_degree} "
                 f"after every step"
@@ -130,56 +158,60 @@ def _fresh_generator(model: FreeCDGA, degree: int) -> Generator:
     return Generator(name, degree)
 
 
-def _betti_map(model: FreeCDGA, check_degree: int) -> dict[int, int]:
-    return betti(model, check_degree).betti
+def _verify(log: ReductionLog) -> None:
+    """Compare the endpoints; if they differ, name the first step that
+    changes the Betti numbers."""
+    if not log.steps or log.betti_before == log.steps[-1].betti_after:
+        return
+    before = log.betti_before
+    assert before is not None
+    for step in log.steps:
+        after = step.betti_after
+        assert after is not None
+        if after != before:
+            diffs = {
+                n: (before.get(n, 0), after.get(n, 0))
+                for n in sorted(set(before) | set(after))
+                if before.get(n, 0) != after.get(n, 0)
+            }
+            raise VerificationFailedError(
+                f"betti numbers changed at step '{step.action.describe()}': {diffs}"
+            )
+        before = after
 
 
 def reduce(
     model: FreeCDGA,
     check_degree: int = DEFAULT_CHECK_DEGREE,
 ) -> tuple[FreeCDGA, ReductionLog]:
-    """Reduce until no pair is cancellable; verify Betti numbers per step.
+    """Reduce until no pair is cancellable, then verify the endpoints.
 
-    check_degree = 0 skips verification (and snapshots).
+    With check_degree > 0 and at least one step taken, the Betti numbers up
+    to check_degree of the result are compared with those of the input (two
+    full computations).  Only if they differ is every step checked, and
+    VerificationFailedError names the first step that changes them.  With
+    no step taken nothing is computed; check_degree = 0 skips verification
+    and the log's snapshots are None.  A negative check_degree raises
+    ValueError.
     """
+    check_bound(check_degree, "check_degree")
     current = model
-    snapshot = _betti_map(current, check_degree) if check_degree > 0 else None
-    log = ReductionLog(check_degree, snapshot, [])
-
-    def advance(next_model: FreeCDGA, action: Step) -> FreeCDGA:
-        nonlocal snapshot
-        after: Optional[dict[int, int]] = None
-        if check_degree > 0:
-            after = _betti_map(next_model, check_degree)
-            assert snapshot is not None
-            if after != snapshot:
-                diffs = {
-                    n: (snapshot.get(n, 0), after.get(n, 0))
-                    for n in sorted(set(snapshot) | set(after))
-                    if snapshot.get(n, 0) != after.get(n, 0)
-                }
-                raise VerificationFailedError(
-                    f"betti numbers changed at step '{action.describe()}': {diffs}"
-                )
-            snapshot = after
-        log.steps.append(ReductionStep(action, after))
-        return next_model
-
+    log = ReductionLog(check_degree, model, [])
     while True:
         pair = find_reducible(current)
         if pair is None:
             break
         v, x = pair.odd_gen, pair.even_gen
-        if pair.residue.is_zero():
-            next_model, cert = cancel_acyclic_pair(current, v)
-            current = advance(next_model, Cancellation(cert.odd_gen, cert.even_gen, cert.scalar))
-        else:
+        if not pair.residue.is_zero():
             fresh = _fresh_generator(current, x.degree)
             relation = current.d(v)
-            changed = change_of_variable(current, x, fresh, relation)
-            current = advance(changed, ChangeOfVariable(x, fresh, relation))
-            next_model, cert = cancel_acyclic_pair(current, v)
-            current = advance(next_model, Cancellation(cert.odd_gen, cert.even_gen, cert.scalar))
+            current = change_of_variable(current, x, fresh, relation)
+            change = ChangeOfVariable(x, fresh, relation)
+            log.steps.append(ReductionStep(change, current, check_degree))
+        current, cert = cancel_acyclic_pair(current, v)
+        cancel = Cancellation(cert.odd_gen, cert.even_gen, cert.scalar)
+        log.steps.append(ReductionStep(cancel, current, check_degree))
+    _verify(log)
     return current, log
 
 

@@ -156,6 +156,15 @@ def test_quotient_dims_rejects_bad_gen_spec(tmp_path, capsys):
     assert "odd degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gens", ["x4:4,x4:6", "x4:4,x4:4"])
+def test_quotient_dims_rejects_duplicate_generator_names(tmp_path, capsys, gens):
+    relations = write(tmp_path, "rels.txt", "x4^2\n")
+    assert main(["quotient-dims", "--gens", gens, "--relations", relations]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate generator name x4\n"
+
+
 def test_quotient_dims_positions_relation_errors(tmp_path, capsys):
     relations = write(tmp_path, "rels.txt", "x4^2\n   x4 + w4\n")
     assert main(["quotient-dims", "--gens", "x4:4", "--relations", relations]) == 2

@@ -14,8 +14,11 @@ from sullivan.cohomology import (
     quotient_ring_dims,
 )
 from sullivan.constructors import bsp_model, hp_model, sphere_model
+from sullivan.dsl import parse_morphism
 from sullivan.errors import NotACocycleError, ResourceLimitError
 from sullivan.gradedalg import Generator, Polynomial
+from sullivan.presets import data_text
+from sullivan.reduction import reduce
 
 from helpers import betti_by_elimination, random_pure_model, total_dim
 
@@ -121,6 +124,28 @@ def test_ring_presentation_validates_input():
     inhomog = Polynomial.gen(x) + Polynomial.gen(x) ** 2
     with pytest.raises(Exception, match="not homogeneous"):
         RingPresentation((x,), (inhomog,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: betti(hp_model(2), -3), "max_degree must be >= 0, got -3"),
+        (
+            lambda: is_quasi_iso(parse_morphism(data_text("thm34_f.morphism")), -1),
+            "max_degree must be >= 0, got -1",
+        ),
+        (
+            lambda: quotient_ring_dims(RingPresentation((Generator("x4", 4),), ()), -2),
+            "max_degree must be >= 0, got -2",
+        ),
+        (lambda: reduce(hp_model(2), check_degree=-5), "check_degree must be >= 0, got -5"),
+    ],
+    ids=["betti", "is_quasi_iso", "quotient_ring_dims", "reduce"],
+)
+def test_negative_degree_bounds_are_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_is_quasi_iso_accepts_isomorphic_relabeling():

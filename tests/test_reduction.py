@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from sullivan.cdga import FreeCDGA
 from sullivan.cohomology import betti
-from sullivan.constructors import biquotient_model
+from sullivan.constructors import biquotient_model, hp_model
 from sullivan.errors import VerificationFailedError
 from sullivan.gradedalg import Generator, Polynomial
 from sullivan.presets import classifying_data
@@ -81,6 +82,62 @@ def test_reduce_names_a_step_that_changes_betti_numbers(monkeypatch):
         reduce(m, check_degree=10)
     assert "betti numbers changed at step 'cancel (" in str(info.value)
     assert "{7: (1, 0)}" in str(info.value)
+
+
+def test_reduce_names_the_first_faulty_step_in_the_middle(monkeypatch):
+    real_cancel = reduction.cancel_acyclic_pair
+    calls = []
+
+    def drop_v7_on_second_call(model, v):
+        out, cert = real_cancel(model, v)
+        calls.append(v.name)
+        if len(calls) != 2:
+            return out, cert
+        kept = tuple(g for g in out.generators if g != v7)
+        return FreeCDGA(kept, {g: out.d(g) for g in kept}), cert
+
+    monkeypatch.setattr(reduction, "cancel_acyclic_pair", drop_v7_on_second_call)
+    u3, w3, y4, z4 = (Generator(n, d) for n, d in (("u3", 3), ("w3", 3), ("y4", 4), ("z4", 4)))
+    m = FreeCDGA(
+        (u3, v3, w3, x4, y4, z4, v7),
+        {u3: Polynomial.gen(z4), v3: Polynomial.gen(x4), w3: Polynomial.gen(y4)},
+    )
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(m, check_degree=10)
+    # the third cancellation ran after the faulty second one
+    assert calls == ["u3", "v3", "w3"]
+    assert str(info.value) == "betti numbers changed at step 'cancel (v3, x4)': {7: (1, 0)}"
+
+
+def test_reduce_computes_betti_numbers_only_at_the_endpoints(monkeypatch):
+    calls = []
+
+    def counted(model, max_degree=None, representatives=False):
+        calls.append(max_degree)
+        return betti(model, max_degree, representatives)
+
+    monkeypatch.setattr(reduction, "betti", counted)
+    _, log = reduce(hp_model(2))
+    assert log.steps == [] and calls == []
+
+    model = biquotient_model(classifying_data("thm33", 3))
+    _, log = reduce(model, check_degree=20)
+    assert len(log.steps) == 10
+    assert calls == [20, 20]
+    # the endpoint snapshots are cached, not computed again
+    assert log.betti_before == log.steps[-1].betti_after
+    assert calls == [20, 20]
+
+
+@pytest.mark.parametrize("case, n", [("thm34", None), ("thm33", 3)])
+def test_reduce_snapshots_match_the_replayed_models(case, n):
+    model = biquotient_model(classifying_data(case, n))
+    _, log = reduce(model, check_degree=20)
+    assert log.betti_before == betti(model, 20).betti
+    for i, step in enumerate(log.steps, start=1):
+        prefix = replay(model, dataclasses.replace(log, steps=log.steps[:i]))
+        assert prefix == step.model
+        assert step.betti_after == betti(prefix, 20).betti
 
 
 def test_reduce_introduces_fresh_variable_for_residue():
