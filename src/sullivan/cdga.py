@@ -24,8 +24,10 @@ from sullivan.gradedalg import (
     Generator,
     Monomial,
     Polynomial,
-    sort_with_sign,
+    fresh_name,
+    map_generators,
     substitute,
+    unknown_names,
 )
 
 
@@ -74,10 +76,8 @@ class FreeCDGA:
 
 def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
     """Extend the generator differential to p by the graded Leibniz rule."""
-    known = set(model.generators)
-    missing = p.generators() - known
-    if missing:
-        names = ", ".join(sorted(g.name for g in missing))
+    names = unknown_names(p, model.generators)
+    if names:
         raise UnknownGeneratorError(f"polynomial mentions unknown generators: {names}")
     result = Polynomial.zero()
     for mono, coeff in p.terms.items():
@@ -98,14 +98,12 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
 def validate(model: FreeCDGA) -> list[str]:
     """All violations of the CDGA axioms, empty when the model is valid."""
     violations: list[str] = []
-    known = set(model.generators)
     clean: list[Generator] = []
     for g in model.generators:
         dg = model.d(g)
         ok = True
-        missing = dg.generators() - known
-        if missing:
-            names = ", ".join(sorted(h.name for h in missing))
+        names = unknown_names(dg, model.generators)
+        if names:
             violations.append(f"d({g.name}) mentions unknown generators: {names}")
             ok = False
         for mono in dg.terms:
@@ -124,6 +122,15 @@ def validate(model: FreeCDGA) -> list[str]:
     return violations
 
 
+def checked(model: FreeCDGA, producer: str) -> FreeCDGA:
+    """model, after asserting that it satisfies the CDGA axioms; a violation
+    is a defect of producer."""
+    bad = validate(model)
+    if bad:
+        raise AssertionError(f"{producer} produced an invalid model: " + "; ".join(bad))
+    return model
+
+
 def rename_generators(model: FreeCDGA, mapping: Mapping[Generator, Generator]) -> FreeCDGA:
     """Simultaneously relabel generators; degrees must be preserved."""
     for old, new in mapping.items():
@@ -133,17 +140,10 @@ def rename_generators(model: FreeCDGA, mapping: Mapping[Generator, Generator]) -
                 f"{old.degree} -> {new.degree}"
             )
     table = {g: mapping.get(g, g) for g in model.generators}
+    images = {g: Polynomial.gen(new) for g, new in table.items()}
 
     def rename_poly(p: Polynomial) -> Polynomial:
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in p.terms.items():
-            word = tuple((table.get(g, g), e) for g, e in mono.powers)
-            merged, sign = sort_with_sign(word)
-            if sign == 0:
-                continue
-            assert merged is not None
-            acc[merged] = acc.get(merged, Fraction(0)) + coeff * sign
-        return Polynomial(acc)
+        return map_generators(p, images, fix_unmapped=True)
 
     gens = tuple(table[g] for g in model.generators)
     diff = {table[g]: rename_poly(p) for g, p in model.differential.items()}
@@ -153,18 +153,9 @@ def rename_generators(model: FreeCDGA, mapping: Mapping[Generator, Generator]) -
 def tensor(a: FreeCDGA, b: FreeCDGA) -> FreeCDGA:
     """Tensor product; colliding names in the second factor are primed."""
     taken = {g.name for g in a.generators}
-    mapping: dict[Generator, Generator] = {}
-    for g in b.generators:
-        name = g.name
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        if name != g.name:
-            mapping[g] = Generator(name, g.degree)
-    b2 = rename_generators(b, mapping) if mapping else b
-    diff = dict(a.differential)
-    diff.update(b2.differential)
-    return FreeCDGA(a.generators + b2.generators, diff)
+    mapping = {g: Generator(fresh_name(g.name, taken), g.degree) for g in b.generators}
+    b2 = rename_generators(b, mapping)
+    return FreeCDGA(a.generators + b2.generators, {**a.differential, **b2.differential})
 
 
 def _linear_part(relation: Polynomial, old: Generator) -> tuple[Fraction, Polynomial]:
@@ -207,26 +198,18 @@ def change_of_variable(
         raise DegreeMismatchError(
             f"relation must be homogeneous of degree {old.degree}, got {relation}"
         )
-    unknown = relation.generators() - set(model.generators)
-    if unknown:
-        names = ", ".join(sorted(g.name for g in unknown))
+    names = unknown_names(relation, model.generators)
+    if names:
         raise UnknownGeneratorError(f"relation mentions unknown generators: {names}")
     lam, rest = _linear_part(relation, old)
     # old = (fresh - rest) / lam
     inverse = (Polynomial.gen(fresh) - rest) * (Fraction(1) / lam)
     d_relation = apply_d(model, relation)
-    gens = tuple(g for g in model.generators if g != old) + (fresh,)
-    diff: dict[Generator, Polynomial] = {}
-    for g in model.generators:
-        if g == old:
-            continue
-        diff[g] = substitute(model.d(g), old, inverse)
+    gens = tuple(g for g in model.generators if g != old)
+    diff = {g: substitute(model.d(g), old, inverse) for g in gens}
     diff[fresh] = substitute(d_relation, old, inverse)
-    out = FreeCDGA(gens, diff)
-    bad = validate(out)
-    if bad:  # conjugation by an isomorphism cannot break the axioms
-        raise AssertionError("change_of_variable produced an invalid model: " + "; ".join(bad))
-    return out
+    # Conjugation by an isomorphism cannot break the axioms.
+    return checked(FreeCDGA(gens + (fresh,), diff), "change_of_variable")
 
 
 @dataclass(frozen=True)
@@ -270,10 +253,7 @@ def cancel_acyclic_pair(model: FreeCDGA, v: Generator) -> tuple[FreeCDGA, Cancel
                 f"mentions {v.name} after setting {x.name} = 0"
             )
         diff[g] = new_dg
-    out = FreeCDGA(gens, diff)
-    bad = validate(out)
-    if bad:
-        raise AssertionError("cancel_acyclic_pair produced an invalid model: " + "; ".join(bad))
+    out = checked(FreeCDGA(gens, diff), "cancel_acyclic_pair")
     return out, CancellationCertificate(v, x, Fraction(lam))
 
 
@@ -292,15 +272,7 @@ class Morphism:
 
     def push(self, p: Polynomial) -> Polynomial:
         """Apply the algebra-map extension of the generator images."""
-        result = Polynomial.zero()
-        for mono, coeff in p.terms.items():
-            acc = Polynomial.scalar(coeff)
-            for g, e in mono.powers:
-                acc = acc * self.image_of(g) ** e
-                if acc.is_zero():
-                    break
-            result = result + acc
-        return result
+        return map_generators(p, self.images, fix_unmapped=False)
 
 
 def identity_morphism(model: FreeCDGA) -> Morphism:
@@ -319,9 +291,8 @@ def compose_and_check(m: Morphism) -> list[str]:
     for g in m.source.generators:
         img = m.image_of(g)
         ok = True
-        missing = img.generators() - tgt
-        if missing:
-            names = ", ".join(sorted(h.name for h in missing))
+        names = unknown_names(img, tgt)
+        if names:
             violations.append(f"image of {g.name} mentions unknown generators: {names}")
             ok = False
         if not img.is_zero():

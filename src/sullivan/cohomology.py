@@ -23,7 +23,7 @@ from sullivan.errors import (
     NotACocycleError,
     ResourceLimitError,
 )
-from sullivan.gradedalg import Generator, Monomial, Polynomial, basis_of_degree
+from sullivan.gradedalg import Generator, Monomial, Polynomial, basis_of_degree, unknown_names
 from sullivan.linalg import RowSpace, Vec
 
 DEFAULT_MAX_BASIS = 200_000
@@ -68,9 +68,6 @@ class Cohomology:
         self.cap = max_basis_cap()
         self._stages: dict[int, _Stage] = {}
         self._h: dict[int, tuple[RowSpace, list[Vec]]] = {}
-
-    def basis(self, n: int) -> list[Monomial]:
-        return self._stage(n).basis
 
     def _stage(self, n: int) -> _Stage:
         if n in self._stages:
@@ -137,15 +134,15 @@ class Cohomology:
         _, reps = self.h_space(n)
         return [self.to_polynomial(v, n) for v in reps]
 
-    def class_coordinates(self, cocycle: Polynomial, n: int) -> list[Fraction]:
-        """Coordinates of a cocycle in the chosen basis of H^n."""
+    def classify(self, cocycle: Polynomial, n: int) -> tuple[list[Fraction], Vec]:
+        """Coordinates of a cocycle in the chosen basis of H^n, and the
+        cocycle reduced modulo coboundaries."""
         space, _ = self.h_space(n)
-        vec = self.to_vector(cocycle, n)
-        residue, _ = self.coboundaries(n).reduce(vec)
+        residue, _ = self.coboundaries(n).reduce(self.to_vector(cocycle, n))
         coords = space.coordinates(residue)
         if coords is None:  # cannot happen for an actual cocycle
             raise AssertionError("cocycle not in the span of cohomology representatives")
-        return coords
+        return coords, residue
 
 
 @dataclass
@@ -196,6 +193,19 @@ class CohomologyClass:
         return not any(self.coordinates)
 
 
+def _cocycle_degree(model: FreeCDGA, p: Polynomial, shape_error: str) -> int:
+    """The degree of p, which must be a nonzero homogeneous cocycle;
+    shape_error is the text raised when it is zero or inhomogeneous."""
+    if not p.is_homogeneous() or p.is_zero():
+        raise DegreeMismatchError(shape_error)
+    dp = apply_d(model, p)
+    if not dp.is_zero():
+        raise NotACocycleError(f"d({p}) = {dp} is nonzero")
+    n = p.degree()
+    assert n is not None
+    return n
+
+
 def class_of(
     model: FreeCDGA,
     cocycle: Polynomial,
@@ -204,30 +214,17 @@ def class_of(
     """The cohomology class of a cocycle, reduced modulo coboundaries."""
     if coh is None:
         coh = Cohomology(model)
-    if not cocycle.is_homogeneous() or cocycle.is_zero():
-        raise DegreeMismatchError("expected a nonzero homogeneous cocycle")
-    n = cocycle.degree()
-    assert n is not None
-    if not apply_d(model, cocycle).is_zero():
-        raise NotACocycleError(f"d({cocycle}) = {apply_d(model, cocycle)} is nonzero")
-    coords = coh.class_coordinates(cocycle, n)
-    vec = coh.to_vector(cocycle, n)
-    residue, _ = coh.coboundaries(n).reduce(vec)
+    n = _cocycle_degree(model, cocycle, "expected a nonzero homogeneous cocycle")
+    coords, residue = coh.classify(cocycle, n)
     return CohomologyClass(n, tuple(coords), coh.to_polynomial(residue, n))
 
 
 def cup_product(model: FreeCDGA, a: Polynomial, b: Polynomial) -> CohomologyClass:
     """[a] * [b] as coordinates in the chosen basis of H of the product degree."""
-    for p in (a, b):
-        if not p.is_homogeneous() or p.is_zero():
-            raise DegreeMismatchError("cup product expects nonzero homogeneous cocycles")
-        if not apply_d(model, p).is_zero():
-            raise NotACocycleError(f"d({p}) = {apply_d(model, p)} is nonzero")
-    da, db = a.degree(), b.degree()
-    assert da is not None and db is not None
+    shape = "cup product expects nonzero homogeneous cocycles"
+    n = _cocycle_degree(model, a, shape) + _cocycle_degree(model, b, shape)
     coh = Cohomology(model)
     product = a * b
-    n = da + db
     if product.is_zero():
         dim = coh.betti(n)
         return CohomologyClass(n, tuple([Fraction(0)] * dim), Polynomial.zero())
@@ -249,13 +246,11 @@ class RingPresentation:
             if g.name in names:
                 raise ValueError(f"duplicate generator name {g.name}")
             names.add(g.name)
-        known = set(self.generators)
         for r in self.relations:
             if r.is_zero():
                 continue
-            unknown = r.generators() - known
-            if unknown:
-                names = ", ".join(sorted(g.name for g in unknown))
+            names = unknown_names(r, self.generators)
+            if names:
                 raise ValueError(f"relation {r} mentions unknown generators: {names}")
             if not r.is_homogeneous():
                 raise DegreeMismatchError(f"relation {r} is not homogeneous")
@@ -344,7 +339,7 @@ def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
         image_span = RowSpace()
         for rep in reps:
             pushed = m.push(rep)
-            coords = tgt.class_coordinates(pushed, n) if not pushed.is_zero() else []
+            coords = tgt.classify(pushed, n)[0] if not pushed.is_zero() else []
             vec = {i: c for i, c in enumerate(coords) if c}
             image_span.add(vec)
         per_degree[n] = DegreeVerdict(

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from sullivan.cdga import FreeCDGA, apply_d, validate
+from sullivan.cdga import FreeCDGA, apply_d, checked
 from sullivan.errors import (
     DegreeMismatchError,
     NotACocycleError,
     UnknownGeneratorError,
     UnsupportedDimensionError,
 )
-from sullivan.gradedalg import Generator, Polynomial
+from sullivan.gradedalg import Generator, Polynomial, fresh_name, unknown_names
 
 
 def bsp_model(n: int) -> FreeCDGA:
@@ -82,13 +82,11 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
         raise UnsupportedDimensionError(f"bundle rank must be >= 1, got {n}")
     base = data.base
     classes = data.padded_classes()
-    base_gens = set(base.generators)
     for i, p in enumerate(classes, start=1):
         if p.is_zero():
             continue
-        unknown = p.generators() - base_gens
-        if unknown:
-            names = ", ".join(sorted(g.name for g in unknown))
+        names = unknown_names(p, base.generators)
+        if names:
             raise UnknownGeneratorError(
                 f"p_{i} mentions generators outside the base: {names}"
             )
@@ -101,25 +99,14 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
             raise NotACocycleError(f"p_{i} is not a cocycle: d(p_{i}) = {dp}")
 
     taken = {g.name for g in base.generators}
-
-    def fresh_name(name: str) -> str:
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        return name
-
-    x = Generator(fresh_name("x4"), 4)
-    top = Generator(fresh_name(f"x{4 * n - 1}"), 4 * n - 1)
+    x = Generator(fresh_name("x4", taken), 4)
+    top = Generator(fresh_name(f"x{4 * n - 1}", taken), 4 * n - 1)
     d_top = Polynomial.gen(x) ** n
     for i, p in enumerate(classes, start=1):
         d_top = d_top + p * Polynomial.gen(x) ** (n - i)
     diff = dict(base.differential)
     diff[top] = d_top
-    out = FreeCDGA(base.generators + (x, top), diff)
-    bad = validate(out)
-    if bad:
-        raise AssertionError("projectivize produced an invalid model: " + "; ".join(bad))
-    return out
+    return checked(FreeCDGA(base.generators + (x, top), diff), "projectivize")
 
 
 @dataclass(frozen=True)
@@ -161,11 +148,10 @@ def biquotient_model(data: ClassifyingData) -> FreeCDGA:
                 raise UnknownGeneratorError(f"{side} assigned to non-middle generator {g.name}")
             if img.is_zero():
                 continue
-            stray = img.generators() - allowed
+            stray = unknown_names(img, allowed)
             if stray:
-                stray_names = ", ".join(sorted(h.name for h in stray))
                 raise UnknownGeneratorError(
-                    f"{side}({g.name}) leaves its target algebra: {stray_names}"
+                    f"{side}({g.name}) leaves its target algebra: {stray}"
                 )
             if not img.is_homogeneous() or img.degree() != g.degree:
                 raise DegreeMismatchError(
@@ -189,11 +175,7 @@ def biquotient_model(data: ClassifyingData) -> FreeCDGA:
         img_k = data.phi_k.get(g, Polynomial.zero())
         diff[suspensions[g]] = img_h - img_k
     gens = data.wh + data.wk + tuple(suspensions[g] for g in data.v)
-    out = FreeCDGA(gens, diff)
-    bad = validate(out)
-    if bad:
-        raise AssertionError("biquotient_model produced an invalid model: " + "; ".join(bad))
-    return out
+    return checked(FreeCDGA(gens, diff), "biquotient_model")
 
 
 def pure_check(model: FreeCDGA) -> bool:

@@ -78,12 +78,6 @@ class Monomial:
     def generators(self) -> Iterator[Generator]:
         return (g for g, _ in self.powers)
 
-    def exponent_of(self, gen: Generator) -> int:
-        for g, e in self.powers:
-            if g == gen:
-                return e
-        return 0
-
     @property
     def sort_key(self) -> tuple:
         # Graded order; within a degree, lexicographic with higher powers of
@@ -206,10 +200,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return Polynomial(acc)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial({m: -c for m, c in self.terms.items()})
@@ -277,10 +268,6 @@ class Polynomial:
         return f"Polynomial<{self}>"
 
 
-ZERO = Polynomial.zero()
-ONE = Polynomial.scalar(1)
-
-
 def basis_of_degree(
     gens: Iterable[Generator],
     n: int,
@@ -318,6 +305,33 @@ def basis_of_degree(
     return out
 
 
+def map_generators(
+    p: Polynomial, images: Mapping[Generator, Polynomial], fix_unmapped: bool
+) -> Polynomial:
+    """Apply to p the algebra map that sends each generator g to images[g].
+
+    A generator without an image stays fixed when fix_unmapped is set and
+    goes to zero otherwise.  The images of a monomial's factors are
+    multiplied in monomial order, so the Koszul signs of odd images come
+    out right.
+    """
+    acc: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.terms.items():
+        term = Polynomial.scalar(coeff)
+        for g, e in mono.powers:
+            if g in images:
+                term = term * images[g] ** e
+            elif fix_unmapped:
+                term = term * Polynomial.gen(g, e)
+            else:
+                term = Polynomial.zero()
+            if term.is_zero():
+                break
+        for m, c in term.terms.items():
+            acc[m] = acc.get(m, Fraction(0)) + c
+    return Polynomial(acc)
+
+
 def substitute(p: Polynomial, gen: Generator, replacement: Polynomial) -> Polynomial:
     """Replace every occurrence of gen in p by the given polynomial.
 
@@ -341,15 +355,18 @@ def substitute(p: Polynomial, gen: Generator, replacement: Polynomial) -> Polyno
             raise DegreeMismatchError(
                 f"replacement for {gen.name} has degree {rdeg}, expected {gen.degree}"
             )
-    result = Polynomial.zero()
-    for m, c in p.terms.items():
-        acc = Polynomial.scalar(c)
-        for g, e in m.powers:
-            if g == gen:
-                acc = acc * replacement**e
-                if acc.is_zero():
-                    break
-            else:
-                acc = acc * Polynomial.gen(g, e)
-        result = result + acc
-    return result
+    return map_generators(p, {gen: replacement}, fix_unmapped=True)
+
+
+def fresh_name(name: str, taken: set[str]) -> str:
+    """name, primed until it is not taken; the result joins taken."""
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
+def unknown_names(p: Polynomial, known: Iterable[Generator]) -> str:
+    """The names of p's generators outside known, sorted and comma-joined
+    (empty when there are none)."""
+    return ", ".join(sorted(g.name for g in p.generators().difference(known)))

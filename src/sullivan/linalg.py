@@ -47,9 +47,6 @@ class RowSpace:
     def rank(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        return [p for p, _, _ in self.rows]
-
     def reduce(self, vec: Vec, tag: Optional[Vec] = None) -> tuple[Vec, Vec]:
         vec = dict(vec)
         tag = dict(tag) if tag is not None else {}
@@ -83,22 +80,16 @@ class RowSpace:
             self.rows.sort(key=lambda r: r[0])
         return residue, rtag
 
-    def contains(self, vec: Vec) -> bool:
-        residue, _ = self.reduce(vec)
-        return not residue
-
     def coordinates(self, vec: Vec) -> Optional[list[Fraction]]:
-        """Coefficients expressing vec over the echelon rows, or None."""
-        vec = dict(vec)
-        coords = [Fraction(0)] * len(self.rows)
-        for i, (pivot, row, _) in enumerate(self.rows):
-            c = vec.get(pivot)
-            if c:
-                coords[i] = c
-                vec_sub_scaled(vec, row, c)
-        if vec:
+        """Coefficients expressing vec over the echelon rows, or None.
+
+        Each row is 1 at its own pivot and 0 at every other pivot, so a
+        vector in the span has its coefficients at the pivots.
+        """
+        residue, _ = self.reduce(vec)
+        if residue:
             return None
-        return coords
+        return [vec.get(pivot, Fraction(0)) for pivot, _, _ in self.rows]
 
     def basis(self) -> list[Vec]:
         return [dict(row) for _, row, _ in self.rows]

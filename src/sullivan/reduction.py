@@ -33,7 +33,7 @@ from sullivan.cdga import (
 )
 from sullivan.cohomology import betti, check_bound
 from sullivan.errors import VerificationFailedError
-from sullivan.gradedalg import Generator, Monomial, Polynomial, substitute
+from sullivan.gradedalg import Generator, Monomial, Polynomial, fresh_name, substitute
 
 DEFAULT_CHECK_DEGREE = 20
 
@@ -151,13 +151,6 @@ class ReductionLog:
         return [s.action for s in self.steps if isinstance(s.action, Cancellation)]
 
 
-def _fresh_generator(model: FreeCDGA, degree: int) -> Generator:
-    name = f"t{degree}"
-    while model.has_gen(name):
-        name += "'"
-    return Generator(name, degree)
-
-
 def _verify(log: ReductionLog) -> None:
     """Compare the endpoints; if they differ, name the first step that
     changes the Betti numbers."""
@@ -203,7 +196,8 @@ def reduce(
             break
         v, x = pair.odd_gen, pair.even_gen
         if not pair.residue.is_zero():
-            fresh = _fresh_generator(current, x.degree)
+            taken = {g.name for g in current.generators}
+            fresh = Generator(fresh_name(f"t{x.degree}", taken), x.degree)
             relation = current.d(v)
             current = change_of_variable(current, x, fresh, relation)
             change = ChangeOfVariable(x, fresh, relation)

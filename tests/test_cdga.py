@@ -14,8 +14,16 @@ from sullivan.cdga import (
     tensor,
     validate,
 )
+from sullivan import cdga
 from sullivan.cohomology import betti
-from sullivan.constructors import hp_model, sphere_model
+from sullivan.constructors import (
+    ClassifyingData,
+    PontryaginData,
+    biquotient_model,
+    hp_model,
+    projectivize,
+    sphere_model,
+)
 from sullivan.errors import (
     NotLinearDifferentialError,
     NotSolvableError,
@@ -278,3 +286,34 @@ def test_compose_and_check_rejects_degree_shift():
     a4g = next(g for g in s4.generators if g.name == "a4")
     bad = Morphism(s4, s4, {a4g: Polynomial.gen(a4g) ** 2})
     assert any("degree" in p for p in compose_and_check(bad))
+
+
+PRODUCERS = {
+    "change_of_variable": lambda: change_of_variable(
+        two_step_model(), b4, Generator("t4", 4), Polynomial.gen(a4) - 3 * Polynomial.gen(b4)
+    ),
+    "cancel_acyclic_pair": lambda: cancel_acyclic_pair(
+        FreeCDGA((v3, a4), {v3: Polynomial.gen(a4)}), v3
+    ),
+    "projectivize": lambda: projectivize(PontryaginData(hp_model(1), 2)),
+    "biquotient_model": lambda: biquotient_model(
+        ClassifyingData((a4,), (b4,), (Generator("w4", 4),))
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+def test_producers_validate_their_result_once(monkeypatch, producer):
+    seen = []
+
+    def failing_validate(model):
+        seen.append(model)
+        return ["first violation", "second violation"]
+
+    monkeypatch.setattr(cdga, "validate", failing_validate)
+    with pytest.raises(AssertionError) as info:
+        PRODUCERS[producer]()
+    assert str(info.value) == (
+        f"{producer} produced an invalid model: first violation; second violation"
+    )
+    assert len(seen) == 1

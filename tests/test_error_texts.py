@@ -1,0 +1,113 @@
+"""Full texts of the errors the algebra layer builds from its shared rules:
+unknown generators, non-cocycles, and the names that leave their algebra.
+
+Each case gives the exception type and message it raises, or for the two
+checkers that return violations instead of raising, those joined by "; ".
+"""
+
+import pytest
+
+from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, compose_and_check, validate
+from sullivan.cohomology import RingPresentation, class_of, cup_product
+from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
+from sullivan.gradedalg import Generator, Polynomial
+
+x4, x7, z4, w4, t4 = (Generator(n, d) for n, d in (("x4", 4), ("x7", 7), ("z4", 4), ("w4", 4), ("t4", 4)))
+a4, b4, c4, v4, a7 = (Generator(n, d) for n, d in (("a4", 4), ("b4", 4), ("c4", 4), ("v4", 4), ("a7", 7)))
+X4, X7, Z4, W4 = (Polynomial.gen(g) for g in (x4, x7, z4, w4))
+HP1 = hp_model(1)  # x4, x7 with d(x7) = x4^2
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "returned", "; ".join(result)
+
+
+CASES = [
+    (
+        "apply_d",
+        lambda: apply_d(HP1, W4 * Z4 + X4),
+        ("UnknownGeneratorError", "polynomial mentions unknown generators: w4, z4"),
+    ),
+    (
+        "validate",
+        lambda: validate(FreeCDGA((x4, a7), {a7: Z4 * W4})),
+        ("returned", "d(a7) mentions unknown generators: w4, z4"),
+    ),
+    (
+        "compose_and_check",
+        lambda: compose_and_check(Morphism(HP1, HP1, {x4: Z4})),
+        (
+            "returned",
+            "image of x4 mentions unknown generators: z4; "
+            "chain condition fails on x7: image of d(x7) is z4^2, but d of the image is 0",
+        ),
+    ),
+    (
+        "change_of_variable",
+        lambda: change_of_variable(HP1, x4, t4, X4 + Z4 + W4),
+        ("UnknownGeneratorError", "relation mentions unknown generators: w4, z4"),
+    ),
+    (
+        "projectivize",
+        lambda: projectivize(PontryaginData(HP1, 2, (Z4, W4 * Z4))),
+        ("UnknownGeneratorError", "p_1 mentions generators outside the base: z4"),
+    ),
+    (
+        "biquotient_model",
+        lambda: biquotient_model(
+            ClassifyingData((a4,), (b4,), (v4,), phi_h={v4: Polynomial.gen(b4) + Z4})
+        ),
+        ("UnknownGeneratorError", "phi_h(v4) leaves its target algebra: b4, z4"),
+    ),
+    (
+        "biquotient_model-phi_k",
+        lambda: biquotient_model(
+            ClassifyingData((a4,), (b4, c4), (v4,), phi_k={v4: Polynomial.gen(a4)})
+        ),
+        ("UnknownGeneratorError", "phi_k(v4) leaves its target algebra: a4"),
+    ),
+    (
+        "RingPresentation",
+        lambda: RingPresentation((x4,), (X4 * Z4 + X4 * W4,)),
+        ("ValueError", "relation w4*x4 + x4*z4 mentions unknown generators: w4, z4"),
+    ),
+    (
+        "class_of-zero",
+        lambda: class_of(HP1, Polynomial.zero()),
+        ("DegreeMismatchError", "expected a nonzero homogeneous cocycle"),
+    ),
+    (
+        "class_of-inhomogeneous",
+        lambda: class_of(HP1, X4 + X7),
+        ("DegreeMismatchError", "expected a nonzero homogeneous cocycle"),
+    ),
+    (
+        "class_of-not-a-cocycle",
+        lambda: class_of(HP1, 2 * X7),
+        ("NotACocycleError", "d(2*x7) = 2*x4^2 is nonzero"),
+    ),
+    (
+        "cup_product-zero",
+        lambda: cup_product(HP1, X4, Polynomial.zero()),
+        ("DegreeMismatchError", "cup product expects nonzero homogeneous cocycles"),
+    ),
+    (
+        "cup_product-not-a-cocycle",
+        lambda: cup_product(HP1, X7, X4),
+        ("NotACocycleError", "d(x7) = x4^2 is nonzero"),
+    ),
+    (
+        "cup_product-second-not-a-cocycle",
+        lambda: cup_product(HP1, X4, X7),
+        ("NotACocycleError", "d(x7) = x4^2 is nonzero"),
+    ),
+]
+
+
+@pytest.mark.parametrize("run, want", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_error_text(run, want):
+    assert _outcome(run) == want

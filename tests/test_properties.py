@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from sullivan.cdga import apply_d, change_of_variable, rename_generators
+from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, rename_generators
 from sullivan.cohomology import betti
 from sullivan.constructors import biquotient_model
 from sullivan.dsl import parse_model, render_model
@@ -17,6 +17,7 @@ from sullivan.gradedalg import (
     sort_with_sign,
     substitute,
 )
+from sullivan.linalg import RowSpace
 from sullivan.presets import classifying_data
 from sullivan.reduction import reduce, replay
 
@@ -74,6 +75,27 @@ def model_polynomials(draw):
     return Polynomial(dict(zip(picked, coeffs))), degree
 
 
+@st.composite
+def generator_images(draw):
+    """A random image of every generator of POOL, of the generator's degree
+    (zero allowed), so odd generators go to odd polynomials."""
+    images = {}
+    for g in POOL:
+        basis = basis_of_degree(POOL, g.degree)
+        picked = draw(st.lists(st.sampled_from(basis), max_size=2, unique=True))
+        coeffs = draw(st.lists(coefficients, min_size=len(picked), max_size=len(picked)))
+        images[g] = Polynomial(dict(zip(picked, coeffs)))
+    return images
+
+
+@st.composite
+def row_spaces(draw):
+    space = RowSpace()
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        space.add(draw(st.dictionaries(st.integers(0, 7), coefficients, max_size=4)))
+    return space
+
+
 @given(polynomials(), polynomials(), polynomials())
 def test_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
@@ -128,6 +150,29 @@ def test_monomial_sort_key_orders_by_degree_first(m):
 def test_substitute_by_self_is_identity(p):
     for g in POOL:
         assert substitute(p, g, Polynomial.gen(g)) == p
+
+
+@given(generator_images(), polynomials(), polynomials(), st.sampled_from(POOL))
+def test_algebra_maps_are_multiplicative(images, p, q, g):
+    algebra = FreeCDGA(POOL)
+    f = Morphism(algebra, algebra, images)
+    assert f.push(p * q) == f.push(p) * f.push(q)
+    r = images[g]
+    assert substitute(p * q, g, r) == substitute(p, g, r) * substitute(q, g, r)
+
+
+@given(row_spaces(), st.data())
+def test_row_space_coordinates_recover_the_combination(space, data):
+    coeffs = data.draw(
+        st.lists(coefficients | st.just(Fraction(0)), min_size=space.rank, max_size=space.rank)
+    )
+    vec = {}
+    for c, (_, row, _) in zip(coeffs, space.rows):
+        for k, v in row.items():
+            vec[k] = vec.get(k, Fraction(0)) + c * v
+    vec = {k: v for k, v in vec.items() if v}
+    assert space.coordinates(vec) == coeffs
+    assert space.coordinates({**vec, 8: Fraction(1)}) is None
 
 
 @given(st.integers(min_value=0, max_value=14))

@@ -1,6 +1,8 @@
 import pytest
 
-from sullivan.presets import DESCRIPTIONS, data_files
+from sullivan import verify
+from sullivan.constructors import biquotient_model
+from sullivan.presets import DESCRIPTIONS, classifying_data, data_files
 from sullivan.verify import (
     SHIPPED_INSTANCES,
     render_report,
@@ -71,3 +73,17 @@ def test_evidence_lists_every_violation_of_a_model_exhibit():
     top = next(line for line in evidence.detail.splitlines() if line.startswith("da-top-exponent:"))
     assert "d(a11)" in top
     assert "d(a7)" in top
+
+
+def test_run_all_reduces_the_thm34_model_once(monkeypatch):
+    thm34 = biquotient_model(classifying_data("thm34"))
+    reduced = []
+    original = verify.reduce_model
+
+    def counting(model, *args, **kwargs):
+        reduced.append(model)
+        return original(model, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "reduce_model", counting)
+    assert all(report.ok for report in run_all())
+    assert reduced.count(thm34) == 1
