@@ -26,6 +26,7 @@ from sullivan.gradedalg import (
     Polynomial,
     fresh_name,
     map_generators,
+    repeated_names,
     substitute,
     unknown_names,
 )
@@ -38,10 +39,9 @@ class FreeCDGA:
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.generators))
-        names = [g.name for g in ordered]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate generator names: {', '.join(dupes)}")
+        dupes = repeated_names(g.name for g in ordered)
+        if dupes:
+            raise ValueError(f"duplicate generator names: {', '.join(sorted(dupes))}")
         diff = {g: p for g, p in self.differential.items() if not p.is_zero()}
         for g in diff:
             if g not in ordered:
@@ -158,20 +158,19 @@ def tensor(a: FreeCDGA, b: FreeCDGA) -> FreeCDGA:
     return FreeCDGA(a.generators + b2.generators, {**a.differential, **b2.differential})
 
 
-def _linear_part(relation: Polynomial, old: Generator) -> tuple[Fraction, Polynomial]:
-    """Split relation as lam * old + rest; NotSolvable unless old is isolated."""
+def linear_part(relation: Polynomial, old: Generator) -> tuple[Fraction, Polynomial, str]:
+    """Split relation as lam * old + rest, and say why old is not isolated
+    (lam zero, or old left in rest); that reason is empty when it is."""
     bare = Monomial(((old, 1),))
     lam = relation.coefficient(bare)
-    if not lam:
-        raise NotSolvableError(
-            f"relation {relation} has no isolated linear term in {old.name}"
-        )
     rest = relation - Polynomial.monomial(bare, lam)
-    if old in rest.generators():
-        raise NotSolvableError(
-            f"{old.name} occurs in the relation beyond its linear term: {relation}"
-        )
-    return lam, rest
+    if not lam:
+        why = f"relation {relation} has no isolated linear term in {old.name}"
+    elif old in rest.generators():
+        why = f"{old.name} occurs in the relation beyond its linear term: {relation}"
+    else:
+        why = ""
+    return lam, rest, why
 
 
 def change_of_variable(
@@ -201,7 +200,9 @@ def change_of_variable(
     names = unknown_names(relation, model.generators)
     if names:
         raise UnknownGeneratorError(f"relation mentions unknown generators: {names}")
-    lam, rest = _linear_part(relation, old)
+    lam, rest, why = linear_part(relation, old)
+    if why:
+        raise NotSolvableError(why)
     # old = (fresh - rest) / lam
     inverse = (Polynomial.gen(fresh) - rest) * (Fraction(1) / lam)
     d_relation = apply_d(model, relation)
@@ -213,13 +214,19 @@ def change_of_variable(
 
 
 @dataclass(frozen=True)
-class CancellationCertificate:
+class Cancellation:
+    """The pair (odd_gen, even_gen) struck, where d(odd_gen) = scalar * even_gen."""
+
     odd_gen: Generator
     even_gen: Generator
     scalar: Fraction
 
+    def describe(self) -> str:
+        note = "" if self.scalar == 1 else f"   [scalar {self.scalar}]"
+        return f"cancel ({self.odd_gen.name}, {self.even_gen.name}){note}"
 
-def cancel_acyclic_pair(model: FreeCDGA, v: Generator) -> tuple[FreeCDGA, CancellationCertificate]:
+
+def cancel_acyclic_pair(model: FreeCDGA, v: Generator) -> tuple[FreeCDGA, Cancellation]:
     """Strike the contractible pair (v, x) where d(v) = lam * x exactly.
 
     Every remaining differential has x set to zero afterwards; if v still
@@ -236,11 +243,11 @@ def cancel_acyclic_pair(model: FreeCDGA, v: Generator) -> tuple[FreeCDGA, Cancel
             f"d({v.name}) = {dv} is not a scalar multiple of a single generator"
         )
     ((mono, lam),) = dv.terms.items()
-    if len(mono.powers) != 1 or mono.powers[0][1] != 1:
+    x = mono.linear_generator()
+    if x is None:
         raise NotLinearDifferentialError(
             f"d({v.name}) = {dv} is not linear in a generator"
         )
-    x = mono.powers[0][0]
     if x.odd:
         raise NotLinearDifferentialError(f"d({v.name}) lands on odd generator {x.name}")
     gens = tuple(g for g in model.generators if g not in (v, x))
@@ -254,7 +261,7 @@ def cancel_acyclic_pair(model: FreeCDGA, v: Generator) -> tuple[FreeCDGA, Cancel
             )
         diff[g] = new_dg
     out = checked(FreeCDGA(gens, diff), "cancel_acyclic_pair")
-    return out, CancellationCertificate(v, x, Fraction(lam))
+    return out, Cancellation(v, x, lam)
 
 
 @dataclass(frozen=True)

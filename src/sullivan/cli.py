@@ -23,7 +23,6 @@ from sullivan.cohomology import (
     RingPresentation,
     betti,
     check_bound,
-    default_max_degree,
     is_quasi_iso,
     quotient_ring_dims,
 )
@@ -84,10 +83,7 @@ def _print_betti_text(report, label: str) -> None:
 def cmd_cohomology(args: argparse.Namespace) -> int:
     check_bound(args.max_degree, "--max-degree")
     doc, model = _load_model(args.model)
-    max_degree = args.max_degree
-    if max_degree is None:
-        max_degree = default_max_degree(model)
-    report = betti(model, max_degree, representatives=args.representatives)
+    report = betti(model, args.max_degree, representatives=args.representatives)
     if args.json:
         payload: dict[str, object] = {
             "betti": {str(d): report.betti[d] for d in sorted(report.nonzero())}

@@ -23,7 +23,14 @@ from sullivan.errors import (
     NotACocycleError,
     ResourceLimitError,
 )
-from sullivan.gradedalg import Generator, Monomial, Polynomial, basis_of_degree, unknown_names
+from sullivan.gradedalg import (
+    Generator,
+    Monomial,
+    Polynomial,
+    basis_of_degree,
+    repeated_names,
+    unknown_names,
+)
 from sullivan.linalg import RowSpace, Vec
 
 DEFAULT_MAX_BASIS = 200_000
@@ -239,13 +246,12 @@ class RingPresentation:
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
-        names: set[str] = set()
         for g in self.generators:
             if g.odd:
                 raise ValueError(f"presentation generator {g.name} has odd degree")
-            if g.name in names:
-                raise ValueError(f"duplicate generator name {g.name}")
-            names.add(g.name)
+        dupes = repeated_names(g.name for g in self.generators)
+        if dupes:
+            raise ValueError(f"duplicate generator name {dupes[0]}")
         for r in self.relations:
             if r.is_zero():
                 continue

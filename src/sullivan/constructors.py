@@ -20,7 +20,7 @@ from sullivan.errors import (
     UnknownGeneratorError,
     UnsupportedDimensionError,
 )
-from sullivan.gradedalg import Generator, Polynomial, fresh_name, unknown_names
+from sullivan.gradedalg import Generator, Polynomial, fresh_name, repeated_names, unknown_names
 
 
 def bsp_model(n: int) -> FreeCDGA:
@@ -135,9 +135,9 @@ def biquotient_model(data: ClassifyingData) -> FreeCDGA:
     with d(sv) = phi_h(v) - phi_k(v).
     """
     names = [g.name for g in data.wh + data.wk + data.v]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ValueError(f"classifying data reuses names: {', '.join(dupes)}")
+    dupes = repeated_names(names)
+    if dupes:
+        raise ValueError(f"classifying data reuses names: {', '.join(sorted(dupes))}")
     wh_set, wk_set, v_set = set(data.wh), set(data.wk), set(data.v)
     for phi, side, allowed in (
         (data.phi_h, "phi_h", wh_set),

@@ -78,6 +78,12 @@ class Monomial:
     def generators(self) -> Iterator[Generator]:
         return (g for g, _ in self.powers)
 
+    def linear_generator(self) -> Optional[Generator]:
+        """g when this monomial is g to the first power, else None."""
+        if len(self.powers) == 1 and self.powers[0][1] == 1:
+            return self.powers[0][0]
+        return None
+
     @property
     def sort_key(self) -> tuple:
         # Graded order; within a degree, lexicographic with higher powers of
@@ -364,6 +370,17 @@ def fresh_name(name: str, taken: set[str]) -> str:
         name += "'"
     taken.add(name)
     return name
+
+
+def repeated_names(names: Iterable[str]) -> list[str]:
+    """The names that occur more than once, in the order of their first repeat."""
+    seen: set[str] = set()
+    repeats: list[str] = []
+    for name in names:
+        if name in seen and name not in repeats:
+            repeats.append(name)
+        seen.add(name)
+    return repeats
 
 
 def unknown_names(p: Polynomial, known: Iterable[Generator]) -> str:

@@ -9,14 +9,15 @@ scanned in (degree, name) order, and among the eligible linear candidates
 inside one differential the generator latest in that order is eliminated,
 which keeps the earliest-named generators in the final presentation.
 
-A positive check degree verifies the reduction at its endpoints: when at
-least one step was taken, the Betti numbers up to that degree of the
-reduced model are compared with those of the input.  Each step is a change
-of variable (an isomorphism) or the cancellation of a contractible pair (a
-quasi-isomorphism), so a correct reduction always passes.  Only when the
-endpoints differ is every step checked, and the first step that changes the
-Betti numbers is named.  The log keeps the model each step leaves; its Betti
-snapshots are computed on first access.
+Every step is certified as soon as it is built by the algebra map from the
+model before it to the model after it: an isomorphism for a change of
+variable (old -> (fresh - rest)/lam), the quotient by the pair for a
+cancellation (v, x -> 0), every other generator fixed (Felix-Halperin-
+Thomas, GTM 205, section 14).  The map must be a CDGA morphism onto
+exactly the expected generators, which pins every differential of the new
+model; this costs O(model size) per step and runs at every check degree.
+A positive check degree adds one comparison of the Betti numbers up to
+that degree at the two endpoints.  The log keeps only the actions.
 """
 
 from __future__ import annotations
@@ -27,13 +28,17 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from sullivan.cdga import (
+    Cancellation,
     FreeCDGA,
+    Morphism,
     cancel_acyclic_pair,
     change_of_variable,
+    compose_and_check,
+    linear_part,
 )
 from sullivan.cohomology import betti, check_bound
 from sullivan.errors import VerificationFailedError
-from sullivan.gradedalg import Generator, Monomial, Polynomial, fresh_name, substitute
+from sullivan.gradedalg import Generator, Polynomial, fresh_name, substitute
 
 DEFAULT_CHECK_DEGREE = 20
 
@@ -50,27 +55,20 @@ def find_reducible(model: FreeCDGA) -> Optional[ReduciblePair]:
     """First cancellable pair in the deterministic scan order, or None."""
     for v in model.odd_generators():
         dv = model.d(v)
-        candidates: list[tuple[Generator, Fraction]] = []
-        for mono, coeff in dv.terms.items():
-            if len(mono.powers) == 1 and mono.powers[0][1] == 1:
-                candidates.append((mono.powers[0][0], coeff))
-        candidates.sort(key=lambda t: t[0].sort_key)
-        for x, lam in reversed(candidates):
-            residue = dv - Polynomial.monomial(Monomial(((x, 1),)), lam)
-            if x in residue.generators():
+        candidates = sorted(x for x in (m.linear_generator() for m in dv.terms) if x is not None)
+        for x in reversed(candidates):
+            lam, residue, why = linear_part(dv, x)
+            if why:
                 continue
             # After eliminating x and striking the pair, x ends up replaced
             # by -residue/lam everywhere; v must not survive anywhere else.
             replacement = residue * (Fraction(-1) / lam)
-            ok = True
-            for g in model.generators:
-                if g in (v, x):
-                    continue
-                if v in substitute(model.d(g), x, replacement).generators():
-                    ok = False
-                    break
-            if ok:
-                return ReduciblePair(v, x, Fraction(lam), residue)
+            if not any(
+                v in substitute(model.d(g), x, replacement).generators()
+                for g in model.generators
+                if g not in (v, x)
+            ):
+                return ReduciblePair(v, x, lam, residue)
     return None
 
 
@@ -84,60 +82,28 @@ class ChangeOfVariable:
         return f"introduce {self.fresh.name} = {self.relation}   [replacing {self.old.name}]"
 
 
-@dataclass(frozen=True)
-class Cancellation:
-    odd_gen: Generator
-    even_gen: Generator
-    scalar: Fraction
-
-    def describe(self) -> str:
-        note = "" if self.scalar == 1 else f"   [scalar {self.scalar}]"
-        return f"cancel ({self.odd_gen.name}, {self.even_gen.name}){note}"
-
-
 Step = Union[ChangeOfVariable, Cancellation]
-
-
-def _snapshot(model: FreeCDGA, check_degree: int) -> Optional[dict[int, int]]:
-    return betti(model, check_degree).betti if check_degree > 0 else None
-
-
-@dataclass
-class ReductionStep:
-    """One action of a reduction and the model it leaves."""
-
-    action: Step
-    model: FreeCDGA
-    check_degree: int
-
-    @cached_property
-    def betti_after(self) -> Optional[dict[int, int]]:
-        """Betti numbers of the model after this step up to the check degree
-        (None when it is 0), computed on first access."""
-        return _snapshot(self.model, self.check_degree)
 
 
 @dataclass
 class ReductionLog:
     check_degree: int
     start: FreeCDGA
-    steps: list[ReductionStep]
+    steps: list[Step]
 
     @cached_property
     def betti_before(self) -> Optional[dict[int, int]]:
         """Betti numbers of the input model up to the check degree (None
         when it is 0), computed on first access."""
-        return _snapshot(self.start, self.check_degree)
+        return betti(self.start, self.check_degree).betti if self.check_degree > 0 else None
 
     def render(self) -> str:
-        lines = []
-        for i, step in enumerate(self.steps, start=1):
-            lines.append(f"step {i}: {step.action.describe()}")
+        lines = [f"step {i}: {step.describe()}" for i, step in enumerate(self.steps, start=1)]
         if not self.steps:
             lines.append("no reducible pair; model unchanged")
         elif self.check_degree > 0:
-            # Equal endpoints, with every step an isomorphism or a
-            # quasi-isomorphism, leave the Betti numbers unchanged throughout.
+            # Every step is certified a (quasi-)isomorphism and the
+            # endpoints agree, so the Betti numbers hold throughout.
             lines.append(
                 f"betti numbers verified unchanged up to degree {self.check_degree} "
                 f"after every step"
@@ -145,67 +111,74 @@ class ReductionLog:
         return "\n".join(lines)
 
     def changes(self) -> list[ChangeOfVariable]:
-        return [s.action for s in self.steps if isinstance(s.action, ChangeOfVariable)]
+        return [s for s in self.steps if isinstance(s, ChangeOfVariable)]
 
     def cancellations(self) -> list[Cancellation]:
-        return [s.action for s in self.steps if isinstance(s.action, Cancellation)]
+        return [s for s in self.steps if isinstance(s, Cancellation)]
 
 
-def _verify(log: ReductionLog) -> None:
-    """Compare the endpoints; if they differ, name the first step that
-    changes the Betti numbers."""
-    if not log.steps or log.betti_before == log.steps[-1].betti_after:
-        return
-    before = log.betti_before
-    assert before is not None
-    for step in log.steps:
-        after = step.betti_after
-        assert after is not None
-        if after != before:
-            diffs = {
-                n: (before.get(n, 0), after.get(n, 0))
-                for n in sorted(set(before) | set(after))
-                if before.get(n, 0) != after.get(n, 0)
-            }
-            raise VerificationFailedError(
-                f"betti numbers changed at step '{step.action.describe()}': {diffs}"
-            )
-        before = after
+def _certified(before: FreeCDGA, step: Step, after: FreeCDGA) -> FreeCDGA:
+    """after, once the algebra map from before that step stands for is a
+    CDGA morphism onto exactly the expected generators."""
+    problems = []
+    if isinstance(step, ChangeOfVariable):
+        lam, rest, _ = linear_part(step.relation, step.old)
+        gone, new = {step.old}, {step.fresh}
+        images = {step.old: (Polynomial.gen(step.fresh) - rest) * (Fraction(1) / lam)}
+    else:
+        v, x = step.odd_gen, step.even_gen
+        gone, new, images = {v, x}, set(), {}
+        expected = step.scalar * Polynomial.gen(x)
+        if before.d(v) != expected:
+            problems.append(f"d({v.name}) = {before.d(v)}, expected {expected}")
+    fixed = {g: Polynomial.gen(g) for g in before.generators if g not in gone}
+    problems += compose_and_check(Morphism(before, after, {**fixed, **images}))
+    extra = set(after.generators) - (set(before.generators) - gone) - new
+    if extra:
+        problems.append(f"unexpected generators {', '.join(sorted(g.name for g in extra))}")
+    if problems:
+        raise VerificationFailedError(
+            f"step '{step.describe()}' fails its certificate: " + "; ".join(problems)
+        )
+    return after
 
 
 def reduce(
     model: FreeCDGA,
     check_degree: int = DEFAULT_CHECK_DEGREE,
 ) -> tuple[FreeCDGA, ReductionLog]:
-    """Reduce until no pair is cancellable, then verify the endpoints.
+    """Reduce until no pair is cancellable, certifying every step.
 
-    With check_degree > 0 and at least one step taken, the Betti numbers up
-    to check_degree of the result are compared with those of the input (two
-    full computations).  Only if they differ is every step checked, and
-    VerificationFailedError names the first step that changes them.  With
-    no step taken nothing is computed; check_degree = 0 skips verification
-    and the log's snapshots are None.  A negative check_degree raises
-    ValueError.
+    Each step is checked right after it is built by its algebra map onto
+    the next model (see the module docstring); VerificationFailedError
+    names the first step that fails.  check_degree only bounds the endpoint
+    check: with check_degree > 0 and at least one step taken, the Betti
+    numbers up to check_degree of the result are compared with those of
+    the input (two full computations).  check_degree = 0 skips that check,
+    not the certificates, and leaves log.betti_before None.  A negative
+    check_degree raises ValueError.
     """
     check_bound(check_degree, "check_degree")
     current = model
     log = ReductionLog(check_degree, model, [])
-    while True:
-        pair = find_reducible(current)
-        if pair is None:
-            break
+    while (pair := find_reducible(current)) is not None:
         v, x = pair.odd_gen, pair.even_gen
         if not pair.residue.is_zero():
             taken = {g.name for g in current.generators}
             fresh = Generator(fresh_name(f"t{x.degree}", taken), x.degree)
-            relation = current.d(v)
-            current = change_of_variable(current, x, fresh, relation)
-            change = ChangeOfVariable(x, fresh, relation)
-            log.steps.append(ReductionStep(change, current, check_degree))
-        current, cert = cancel_acyclic_pair(current, v)
-        cancel = Cancellation(cert.odd_gen, cert.even_gen, cert.scalar)
-        log.steps.append(ReductionStep(cancel, current, check_degree))
-    _verify(log)
+            change = ChangeOfVariable(x, fresh, current.d(v))
+            after = change_of_variable(current, x, fresh, change.relation)
+            current = _certified(current, change, after)
+            log.steps.append(change)
+        after, cancel = cancel_acyclic_pair(current, v)
+        current = _certified(current, cancel, after)
+        log.steps.append(cancel)
+    if log.steps and log.betti_before is not None:
+        # Both snapshots hold every degree up to check_degree.
+        end = betti(current, check_degree).betti
+        diffs = {n: (b, end[n]) for n, b in log.betti_before.items() if b != end[n]}
+        if diffs:
+            raise VerificationFailedError(f"betti numbers changed by the reduction: {diffs}")
     return current, log
 
 
@@ -213,14 +186,13 @@ def replay(model: FreeCDGA, log: ReductionLog) -> FreeCDGA:
     """Re-run a recorded reduction; the result is reproduced exactly."""
     current = model
     for step in log.steps:
-        action = step.action
-        if isinstance(action, ChangeOfVariable):
-            current = change_of_variable(current, action.old, action.fresh, action.relation)
+        if isinstance(step, ChangeOfVariable):
+            current = change_of_variable(current, step.old, step.fresh, step.relation)
         else:
-            current, cert = cancel_acyclic_pair(current, action.odd_gen)
-            if cert.even_gen != action.even_gen or cert.scalar != action.scalar:
+            current, got = cancel_acyclic_pair(current, step.odd_gen)
+            if got != step:
                 raise VerificationFailedError(
-                    f"replay diverged at '{action.describe()}': "
-                    f"got ({cert.odd_gen.name}, {cert.even_gen.name}, {cert.scalar})"
+                    f"replay diverged at '{step.describe()}': "
+                    f"got ({got.odd_gen.name}, {got.even_gen.name}, {got.scalar})"
                 )
     return current

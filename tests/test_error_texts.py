@@ -1,5 +1,6 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
-unknown generators, non-cocycles, and the names that leave their algebra.
+unknown generators, repeated names, non-cocycles, the names that leave
+their algebra, and the certificate of a reduction step.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -11,10 +12,13 @@ from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, compo
 from sullivan.cohomology import RingPresentation, class_of, cup_product
 from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
 from sullivan.gradedalg import Generator, Polynomial
+from sullivan.reduction import Cancellation, _certified
 
 x4, x7, z4, w4, t4 = (Generator(n, d) for n, d in (("x4", 4), ("x7", 7), ("z4", 4), ("w4", 4), ("t4", 4)))
 a4, b4, c4, v4, a7 = (Generator(n, d) for n, d in (("a4", 4), ("b4", 4), ("c4", 4), ("v4", 4), ("a7", 7)))
 X4, X7, Z4, W4 = (Polynomial.gen(g) for g in (x4, x7, z4, w4))
+u3 = Generator("u3", 3)
+x4_again, z4_again = Generator("x4", 6), Generator("z4", 8)  # names reused at other degrees
 HP1 = hp_model(1)  # x4, x7 with d(x7) = x4^2
 
 
@@ -74,6 +78,32 @@ CASES = [
         "RingPresentation",
         lambda: RingPresentation((x4,), (X4 * Z4 + X4 * W4,)),
         ("ValueError", "relation w4*x4 + x4*z4 mentions unknown generators: w4, z4"),
+    ),
+    (
+        "FreeCDGA-duplicate-names",
+        lambda: FreeCDGA((z4_again, z4, x4, x4_again)),
+        ("ValueError", "duplicate generator names: x4, z4"),
+    ),
+    (
+        "biquotient_model-reused-names",
+        lambda: biquotient_model(ClassifyingData((b4, a4), (b4,), (a4,))),
+        ("ValueError", "classifying data reuses names: a4, b4"),
+    ),
+    (
+        "RingPresentation-duplicate-name",
+        lambda: RingPresentation((x4, z4, z4_again, x4_again), ()),
+        ("ValueError", "duplicate generator name z4"),
+    ),
+    (
+        "reduction-step-certificate",
+        lambda: _certified(
+            FreeCDGA((u3, z4, x7), {u3: 2 * Z4}), Cancellation(u3, z4, 1), FreeCDGA((w4,))
+        ),
+        (
+            "VerificationFailedError",
+            "step 'cancel (u3, z4)' fails its certificate: d(u3) = 2*z4, expected z4; "
+            "image of x7 mentions unknown generators: x7; unexpected generators w4",
+        ),
     ),
     (
         "class_of-zero",

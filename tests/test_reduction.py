@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -62,9 +61,9 @@ def test_reduce_direct_cancellation_without_change():
     out, log = reduce(m, check_degree=10)
     assert tuple(g.name for g in out.generators) == ("v7",)
     assert len(log.steps) == 1
-    action = log.steps[0].action
-    assert isinstance(action, Cancellation)
-    assert action.describe() == "cancel (v3, x4)   [scalar 2]"
+    step = log.steps[0]
+    assert isinstance(step, Cancellation)
+    assert step.describe() == "cancel (v3, x4)   [scalar 2]"
 
 
 def test_reduce_names_a_step_that_changes_betti_numbers(monkeypatch):
@@ -80,8 +79,10 @@ def test_reduce_names_a_step_that_changes_betti_numbers(monkeypatch):
     m = FreeCDGA((v3, x4, v7), {v3: 2 * Polynomial.gen(x4)})
     with pytest.raises(VerificationFailedError) as info:
         reduce(m, check_degree=10)
-    assert "betti numbers changed at step 'cancel (" in str(info.value)
-    assert "{7: (1, 0)}" in str(info.value)
+    assert str(info.value) == (
+        "step 'cancel (v3, x4)   [scalar 2]' fails its certificate: "
+        "image of v7 mentions unknown generators: v7"
+    )
 
 
 def test_reduce_names_the_first_faulty_step_in_the_middle(monkeypatch):
@@ -104,9 +105,63 @@ def test_reduce_names_the_first_faulty_step_in_the_middle(monkeypatch):
     )
     with pytest.raises(VerificationFailedError) as info:
         reduce(m, check_degree=10)
-    # the third cancellation ran after the faulty second one
-    assert calls == ["u3", "v3", "w3"]
-    assert str(info.value) == "betti numbers changed at step 'cancel (v3, x4)': {7: (1, 0)}"
+    # the reduction stops at the faulty second cancellation
+    assert calls == ["u3", "v3"]
+    assert str(info.value) == (
+        "step 'cancel (v3, x4)' fails its certificate: "
+        "image of v7 mentions unknown generators: v7"
+    )
+
+
+def test_reduce_catches_faulty_steps_whose_betti_changes_cancel(monkeypatch):
+    real_cancel = reduction.cancel_acyclic_pair
+    calls = []
+    a7 = Generator("a7", 7)
+
+    def drop_v7_then_add_a7(model, v):
+        # the 2nd cancellation loses the closed class v7 and the 3rd adds a
+        # closed degree-7 generator, so the endpoint Betti numbers agree
+        out, cert = real_cancel(model, v)
+        calls.append(v.name)
+        kept = [g for g in out.generators if not (len(calls) == 2 and g == v7)]
+        if len(calls) == 3:
+            kept.append(a7)
+        return FreeCDGA(tuple(kept), {g: out.d(g) for g in kept if g != a7}), cert
+
+    monkeypatch.setattr(reduction, "cancel_acyclic_pair", drop_v7_then_add_a7)
+    u3, w3, y4, z4 = (Generator(n, d) for n, d in (("u3", 3), ("w3", 3), ("y4", 4), ("z4", 4)))
+    m = FreeCDGA(
+        (u3, v3, w3, x4, y4, z4, v7),
+        {u3: Polynomial.gen(z4), v3: Polynomial.gen(x4), w3: Polynomial.gen(y4)},
+    )
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(m, check_degree=10)
+    assert calls == ["u3", "v3"]
+    assert str(info.value).startswith("step 'cancel (v3, x4)' fails its certificate: ")
+
+
+@pytest.mark.parametrize("check_degree", [0, 10])
+def test_reduce_catches_a_corrupted_differential_at_its_step(monkeypatch, check_degree):
+    real_cancel = reduction.cancel_acyclic_pair
+
+    def cancel_and_corrupt(model, v):
+        # the right generators survive, but d(v7) picks up a stray term
+        out, cert = real_cancel(model, v)
+        diff = {g: out.d(g) for g in out.generators}
+        diff[v7] = diff[v7] + Polynomial.gen(y4) ** 2
+        return FreeCDGA(out.generators, diff), cert
+
+    monkeypatch.setattr(reduction, "cancel_acyclic_pair", cancel_and_corrupt)
+    m = FreeCDGA(
+        (v3, x4, y4, v7),
+        {v3: Polynomial.gen(x4), v7: Polynomial.gen(x4) ** 2},
+    )
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(m, check_degree=check_degree)
+    assert str(info.value) == (
+        "step 'cancel (v3, x4)' fails its certificate: chain condition fails on v7: "
+        "image of d(v7) is 0, but d of the image is y4^2"
+    )
 
 
 def test_reduce_computes_betti_numbers_only_at_the_endpoints(monkeypatch):
@@ -124,20 +179,34 @@ def test_reduce_computes_betti_numbers_only_at_the_endpoints(monkeypatch):
     _, log = reduce(model, check_degree=20)
     assert len(log.steps) == 10
     assert calls == [20, 20]
-    # the endpoint snapshots are cached, not computed again
-    assert log.betti_before == log.steps[-1].betti_after
+    # the input snapshot is cached, not computed again
+    assert log.betti_before == betti(model, 20).betti
     assert calls == [20, 20]
+
+
+def test_reduce_compares_betti_numbers_at_the_endpoints(monkeypatch):
+    calls = []
+
+    def end_gains_a_class(model, max_degree=None, representatives=False):
+        report = betti(model, max_degree, representatives)
+        calls.append(max_degree)
+        if len(calls) == 2:
+            report.betti[7] += 1
+        return report
+
+    monkeypatch.setattr(reduction, "betti", end_gains_a_class)
+    m = FreeCDGA((v3, x4, v7), {v3: 2 * Polynomial.gen(x4)})
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(m, check_degree=10)
+    assert str(info.value) == "betti numbers changed by the reduction: {7: (1, 2)}"
 
 
 @pytest.mark.parametrize("case, n", [("thm34", None), ("thm33", 3)])
 def test_reduce_snapshots_match_the_replayed_models(case, n):
     model = biquotient_model(classifying_data(case, n))
-    _, log = reduce(model, check_degree=20)
+    reduced, log = reduce(model, check_degree=20)
     assert log.betti_before == betti(model, 20).betti
-    for i, step in enumerate(log.steps, start=1):
-        prefix = replay(model, dataclasses.replace(log, steps=log.steps[:i]))
-        assert prefix == step.model
-        assert step.betti_after == betti(prefix, 20).betti
+    assert replay(model, log) == reduced
 
 
 def test_reduce_introduces_fresh_variable_for_residue():
@@ -146,8 +215,8 @@ def test_reduce_introduces_fresh_variable_for_residue():
         {v7: Polynomial.gen(y8) + Polynomial.gen(x4) ** 2},
     )
     out, log = reduce(m, check_degree=12)
-    assert [type(s.action) for s in log.steps] == [ChangeOfVariable, Cancellation]
-    intro = log.steps[0].action
+    assert [type(s) for s in log.steps] == [ChangeOfVariable, Cancellation]
+    intro = log.steps[0]
     assert intro.describe() == "introduce t8 = x4^2 + y8   [replacing y8]"
     assert tuple(g.name for g in out.generators) == ("x4",)
     assert betti(out, 12).nonzero() == betti_by_elimination(m, 12)
@@ -160,7 +229,7 @@ def test_reduce_fresh_name_avoids_collisions():
         {v7: Polynomial.gen(y8) + Polynomial.gen(x4) ** 2},
     )
     _, log = reduce(m, check_degree=0)
-    intro = log.steps[0].action
+    intro = log.steps[0]
     assert isinstance(intro, ChangeOfVariable)
     assert intro.fresh.name == "t8'"
 
@@ -169,7 +238,6 @@ def test_reduce_check_degree_zero_skips_snapshots():
     m = FreeCDGA((v3, x4), {v3: Polynomial.gen(x4)})
     _, log = reduce(m, check_degree=0)
     assert log.betti_before is None
-    assert all(s.betti_after is None for s in log.steps)
 
 
 def test_reduce_is_idempotent():
