@@ -27,6 +27,7 @@ from sullivan.gradedalg import (
     fresh_name,
     map_generators,
     repeated_names,
+    sort_with_sign,
     substitute,
     unknown_names,
 )
@@ -79,7 +80,7 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
     names = unknown_names(p, model.generators)
     if names:
         raise UnknownGeneratorError(f"polynomial mentions unknown generators: {names}")
-    result = Polynomial.zero()
+    acc: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
         prefix_degree = 0
         for i, (g, e) in enumerate(mono.powers):
@@ -87,12 +88,15 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
             if not dg.is_zero():
                 # d(g^e) = e * g^(e-1) * dg, with the Koszul sign of moving
                 # d past the factors before position i.
-                sign = -1 if prefix_degree % 2 else 1
-                left = Polynomial.monomial(Monomial(mono.powers[:i]), coeff * e * sign)
-                mid = left * Polynomial.gen(g, e - 1) * dg
-                result = result + mid * Polynomial.monomial(Monomial(mono.powers[i + 1 :]))
+                scale = coeff * e * (-1 if prefix_degree % 2 else 1)
+                prefix = mono.powers[:i] + ((g, e - 1),)
+                suffix = mono.powers[i + 1 :]
+                for m, c in dg.terms.items():
+                    merged, sign = sort_with_sign(prefix + m.powers + suffix)
+                    if sign:
+                        acc[merged] = acc.get(merged, 0) + scale * c * sign
             prefix_degree += g.degree * e
-    return result
+    return Polynomial(acc)
 
 
 def validate(model: FreeCDGA) -> list[str]:

@@ -1,10 +1,11 @@
 """Exact degree-truncated cohomology of free CDGAs.
 
 Everything is brute force on purpose: each degree gets its full monomial
-basis, the differential becomes a sparse matrix of Fractions, and ranks,
-kernels, and quotient bases come from exact row reduction.  Cohomology
-representatives are the reduced-row-echelon pivots of the cocycle space
-modulo coboundaries, so repeated runs pick identical representatives.
+basis, the differential becomes a sparse matrix, and ranks, kernels, and
+quotient bases come from exact fraction-free elimination.  The canonical
+reduced row echelon form is built only for representatives: they are the
+RREF rows of the cocycle space modulo coboundaries, which is unique for
+that span, so repeated runs pick identical representatives.
 
 RHT_MAX_BASIS in the environment overrides the default cap of 200000
 monomials per degree.
@@ -126,14 +127,13 @@ class Cohomology:
         return self.cocycle_rank(n) - self.coboundary_rank(n)
 
     def h_space(self, n: int) -> tuple[RowSpace, list[Vec]]:
-        """RREF basis of cocycles modulo coboundaries in degree n."""
+        """RREF basis of cocycles modulo coboundaries in degree n; the
+        only place a reduced echelon form is built."""
         if n not in self._h:
             cob = self.coboundaries(n)
             space = RowSpace()
             for z in self._stage(n).cocycles:
-                residue, _ = cob.reduce(z)
-                space.add(residue)
-            # Rows are mutually reduced; report them in pivot order.
+                space.add(cob.reduce(z))
             self._h[n] = (space, space.basis())
         return self._h[n]
 
@@ -145,7 +145,7 @@ class Cohomology:
         """Coordinates of a cocycle in the chosen basis of H^n, and the
         cocycle reduced modulo coboundaries."""
         space, _ = self.h_space(n)
-        residue, _ = self.coboundaries(n).reduce(self.to_vector(cocycle, n))
+        residue = self.coboundaries(n).reduce(self.to_vector(cocycle, n))
         coords = space.coordinates(residue)
         if coords is None:  # cannot happen for an actual cocycle
             raise AssertionError("cocycle not in the span of cohomology representatives")

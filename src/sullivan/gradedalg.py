@@ -239,10 +239,13 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return Polynomial.scalar(1)
+        if n == 1:
+            return Polynomial(self.terms)
+        half = self ** (n // 2)
+        square = half * half
+        return square * self if n % 2 else square
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms

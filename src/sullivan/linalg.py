@@ -1,95 +1,151 @@
-"""Exact rational linear algebra on sparse vectors.
+"""Exact linear algebra on sparse vectors, fraction-free.
 
-Vectors are dicts mapping column index to a nonzero Fraction.  RowSpace
-keeps a reduced row echelon basis of the span; rows are normalized to a
-leading coefficient of 1 and fully reduced against each other, so the
-basis of a given span is unique and every computation is deterministic.
+Vectors are dicts mapping column index to a nonzero int or Fraction.
+RowSpace keeps an echelon basis of a span: one primitive integer row per
+pivot (its leading column).  Inserting a vector eliminates it only until
+its leading column is not yet a pivot, with integer ``m*v - n*row`` steps
+(Bareiss, Math. Comp. 22, 1968); the stored rows are never touched again.
+Ranks and kernels need nothing more.  Where a canonical basis matters
+(cohomology representatives), ``basis()`` turns the rows into the reduced
+row echelon form once; that form is unique for the span, so it does not
+depend on the order of insertion.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from typing import Optional
+from math import gcd, lcm
+from typing import Optional, Union
 
-Vec = dict[int, Fraction]
+Vec = dict[int, Union[int, Fraction]]
 
 
-def vec_sub_scaled(target: Vec, src: Vec, factor: Fraction) -> None:
+def vec_sub_scaled(target: Vec, src: Vec, factor: Union[int, Fraction]) -> None:
     """target -= factor * src, dropping entries that cancel to zero."""
-    if not factor:
-        return
     for k, v in src.items():
-        new = target.get(k, Fraction(0)) - factor * v
+        new = target.get(k, 0) - factor * v
         if new:
             target[k] = new
         else:
             target.pop(k, None)
 
 
-def vec_scale(v: Vec, factor: Fraction) -> Vec:
-    return {k: c * factor for k, c in v.items()}
+def _eliminate(vec: Vec, row: Vec, ratio: Fraction) -> None:
+    """vec = m*vec - n*row in place, where ratio = n/m in lowest terms: a
+    nonzero multiple of vec - ratio*row, in integers when both are."""
+    m = ratio.denominator
+    if m != 1:
+        for k in vec:
+            vec[k] *= m
+    vec_sub_scaled(vec, row, ratio.numerator)
+
+
+def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
+    """vec and tag times one common rational: integers with gcd 1."""
+    values = [*vec.values(), *tag.values()]
+    if not values:
+        return {}, {}
+    den = lcm(*(c.denominator for c in values))
+    num = gcd(*(c.numerator for c in values))
+    return (
+        {k: c.numerator * (den // c.denominator) // num for k, c in vec.items()},
+        {k: c.numerator * (den // c.denominator) // num for k, c in tag.items()},
+    )
 
 
 class RowSpace:
-    """Span of a set of sparse vectors, held in reduced echelon form.
+    """Span of a set of sparse vectors, held in echelon form.
 
     Each inserted vector may carry a tag vector (over an unrelated index
     set); every row operation applied to a vector is applied to its tag,
-    so a vector that reduces to zero yields, in its tag, the linear
-    combination of the original inserts that produced it.  This is how
-    kernels are read off while ranks are accumulated.
+    so a vector that reduces to zero yields, in its tag, a vanishing
+    linear combination of the original inserts.  This is how kernels are
+    read off while ranks are accumulated.
     """
 
     def __init__(self) -> None:
         self.rows: list[tuple[int, Vec, Vec]] = []  # (pivot, row, tag), pivot ascending
+        self._pivots: dict[int, tuple[Vec, Vec]] = {}  # pivot -> (row, tag)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Vec, tag: Optional[Vec] = None) -> tuple[Vec, Vec]:
-        vec = dict(vec)
-        tag = dict(tag) if tag is not None else {}
-        for pivot, row, row_tag in self.rows:
-            c = vec.get(pivot)
-            if c:
-                vec_sub_scaled(vec, row, c)
-                vec_sub_scaled(tag, row_tag, c)
-        return vec, tag
-
     def add(self, vec: Vec, tag: Optional[Vec] = None) -> tuple[Vec, Vec]:
-        """Reduce vec against the space and insert the residue if nonzero.
+        """Eliminate vec against the space and insert the residue if nonzero.
 
-        Returns the reduced (residue, tag).  A zero residue means vec was
-        already in the span.
+        Returns (residue, tag), scaled together to primitive integers.  A
+        zero residue means vec was already in the span.
         """
-        residue, rtag = self.reduce(vec, tag)
-        if residue:
+        residue, rtag = _primitive(vec, tag or {})
+        stepped = False
+        while residue:
             pivot = min(residue)
-            inv = Fraction(1) / residue[pivot]
-            residue = vec_scale(residue, inv)
-            rtag = vec_scale(rtag, inv)
-            # Keep existing rows fully reduced against the new pivot.
-            for i, (p, row, row_tag) in enumerate(self.rows):
-                c = row.get(pivot)
-                if c:
-                    vec_sub_scaled(row, residue, c)
-                    vec_sub_scaled(row_tag, rtag, c)
-                    self.rows[i] = (p, row, row_tag)
-            self.rows.append((pivot, residue, rtag))
-            self.rows.sort(key=lambda r: r[0])
+            hit = self._pivots.get(pivot)
+            if hit is None:
+                break
+            row, row_tag = hit
+            ratio = Fraction(residue[pivot], row[pivot])
+            _eliminate(residue, row, ratio)
+            _eliminate(rtag, row_tag, ratio)
+            stepped = True
+        if stepped:
+            residue, rtag = _primitive(residue, rtag)
+        if residue:  # the loop stopped at a column that is not yet a pivot
+            self._pivots[pivot] = (residue, rtag)
+            self.rows.insert(bisect(self.rows, pivot, key=lambda r: r[0]), (pivot, residue, rtag))
         return residue, rtag
 
-    def coordinates(self, vec: Vec) -> Optional[list[Fraction]]:
-        """Coefficients expressing vec over the echelon rows, or None.
+    def _forward(self, vec: Vec) -> tuple[Vec, dict[int, Fraction]]:
+        """Clear vec at every pivot, rows in ascending pivot order: the
+        residue at vec's own scale, and by pivot the nonzero coefficient
+        taken of each row."""
+        if not vec:
+            return {}, {}
+        residue, _ = _primitive(vec, {})
+        first = next(iter(vec))
+        scale = Fraction(residue[first]) / vec[first]
+        coeffs: dict[int, Fraction] = {}
+        for pivot, row, _ in self.rows:
+            if pivot in residue:
+                ratio = Fraction(residue[pivot], row[pivot])
+                _eliminate(residue, row, ratio)
+                coeffs[pivot] = ratio / scale
+                scale *= ratio.denominator
+        return {k: c / scale for k, c in residue.items()}, coeffs
 
-        Each row is 1 at its own pivot and 0 at every other pivot, so a
-        vector in the span has its coefficients at the pivots.
-        """
-        residue, _ = self.reduce(vec)
+    def reduce(self, vec: Vec) -> Vec:
+        """The normal form of vec: zero at every pivot, and differing from
+        vec by an element of the span.  It is unique for the span."""
+        return self._forward(vec)[0]
+
+    def coordinates(self, vec: Vec) -> Optional[list[Fraction]]:
+        """Coefficients expressing vec over the current rows, or None."""
+        residue, coeffs = self._forward(vec)
         if residue:
             return None
-        return [vec.get(pivot, Fraction(0)) for pivot, _, _ in self.rows]
+        return [coeffs.get(pivot, Fraction(0)) for pivot, _, _ in self.rows]
 
     def basis(self) -> list[Vec]:
+        """The reduced row echelon basis of the span, in pivot order.
+
+        The rows become it in place: Fraction values, a leading 1, and zero
+        at every other pivot.  Coordinates are then the values at the
+        pivots.
+        """
+        for i in reversed(range(len(self.rows))):
+            pivot, row, tag = self.rows[i]
+            lead = row[pivot]
+            row = {k: Fraction(c) / lead for k, c in row.items()}
+            tag = {k: Fraction(c) / lead for k, c in tag.items()}
+            # Every later row is already reduced, so clearing one pivot
+            # column leaves the others as they are.
+            for q in [q for q in row if q != pivot and q in self._pivots]:
+                later, later_tag = self._pivots[q]
+                factor = row[q]
+                vec_sub_scaled(row, later, factor)
+                vec_sub_scaled(tag, later_tag, factor)
+            self.rows[i] = (pivot, row, tag)
+            self._pivots[pivot] = (row, tag)
         return [dict(row) for _, row, _ in self.rows]

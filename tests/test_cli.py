@@ -83,6 +83,18 @@ def _biquotient_text(tmp_path, capsys) -> str:
     return capsys.readouterr().out
 
 
+def test_cohomology_representatives_on_thm34(tmp_path, capsys):
+    # Two classes in degrees 4 and 8 and nontrivial coboundaries, so the
+    # literal pins the echelon choice of representatives.
+    biq = write(tmp_path, "biq.model", _biquotient_text(tmp_path, capsys))
+    argv = ["cohomology", biq, "--json", "--representatives", "--max-degree", "16"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{"betti":{"0":1,"4":2,"8":2,"12":1},'
+        '"representatives":{"0":["1"],"4":["b4","c4"],"8":["b4*c4","c4^2"],"12":["c4^3"]}}\n'
+    )
+
+
 def test_biquotient_builds_named_model(tmp_path, capsys):
     config = write(tmp_path, "b.bq", data_text("thm34.bq"))
     assert main(["biquotient", "--config", str(config)]) == 0

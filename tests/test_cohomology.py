@@ -13,11 +13,11 @@ from sullivan.cohomology import (
     max_basis_cap,
     quotient_ring_dims,
 )
-from sullivan.constructors import bsp_model, hp_model, sphere_model
-from sullivan.dsl import parse_morphism
+from sullivan.constructors import biquotient_model, bsp_model, hp_model, sphere_model
+from sullivan.dsl import parse_expression, parse_morphism
 from sullivan.errors import NotACocycleError, ResourceLimitError
 from sullivan.gradedalg import Generator, Polynomial
-from sullivan.presets import data_text
+from sullivan.presets import classifying_data, data_text
 from sullivan.reduction import reduce
 
 from helpers import betti_by_elimination, random_pure_model, total_dim
@@ -86,6 +86,27 @@ def test_class_of_kills_coboundaries():
     # d(x11) = x4^3 is a coboundary
     cls = class_of(m, Polynomial.gen(y4) ** 3)
     assert cls.is_zero()
+
+
+@pytest.mark.parametrize(
+    "cocycle, coordinates, residue",
+    [
+        ("a4", ["3", "-1"], "3*b4 - c4"),
+        ("a4 + c4", ["3", "0"], "3*b4"),
+        ("a4^2", ["3", "-2"], "3*b4*c4 - 2*c4^2"),
+        ("b4^2", ["1", "-1/3"], "b4*c4 - 1/3*c4^2"),
+        ("a4*b4", ["2", "-1"], "2*b4*c4 - c4^2"),
+        ("b4*c4^2", ["1/2"], "1/2*c4^3"),
+        ("a4^2*b4 - 2*c4^3", ["-5/2"], "-5/2*c4^3"),
+        ("b4^3", ["0"], "0"),
+    ],
+)
+def test_class_of_coordinates_on_thm34(cocycle, coordinates, residue):
+    model = biquotient_model(classifying_data("thm34"))
+    env = {g.name: g for g in model.generators}
+    cls = class_of(model, parse_expression(cocycle, env))
+    assert [str(c) for c in cls.coordinates] == coordinates
+    assert str(cls.representative) == residue
 
 
 def test_cup_product_truncated_polynomial_structure():

@@ -21,7 +21,7 @@ from sullivan.linalg import RowSpace
 from sullivan.presets import classifying_data
 from sullivan.reduction import reduce, replay
 
-from helpers import brute_monomials, random_pure_model, random_reducible_model
+from helpers import brute_monomials, dense_rank, random_pure_model, random_reducible_model
 
 EVENS = (Generator("x2", 2), Generator("x4", 4), Generator("y4", 4))
 ODDS = (Generator("a3", 3), Generator("b3", 3), Generator("c5", 5))
@@ -105,6 +105,12 @@ def test_ring_laws(p, q, r):
     assert p - p == Polynomial.zero()
 
 
+@given(polynomials(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_powers_add_exponents(p, a, b):
+    assert p ** 1 == p
+    assert p ** (a + b) == p ** a * p ** b
+
+
 @given(homogeneous_polynomials(), homogeneous_polynomials())
 def test_graded_commutativity(pd, qd):
     p, i = pd
@@ -173,6 +179,89 @@ def test_row_space_coordinates_recover_the_combination(space, data):
     vec = {k: v for k, v in vec.items() if v}
     assert space.coordinates(vec) == coeffs
     assert space.coordinates({**vec, 8: Fraction(1)}) is None
+
+
+big_fractions = st.fractions(
+    min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**12
+).filter(lambda c: c != 0)
+
+
+@st.composite
+def spanning_vectors(draw, width=6):
+    """Sparse vectors with large denominators: a few free ones and some
+    rational combinations of them, in a drawn order."""
+    free = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, width - 1), big_fractions, min_size=1, max_size=width),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    vecs = list(free)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        coeffs = draw(st.lists(big_fractions, min_size=len(free), max_size=len(free)))
+        combo: dict[int, Fraction] = {}
+        for c, v in zip(coeffs, free):
+            for k, x in v.items():
+                combo[k] = combo.get(k, Fraction(0)) + c * x
+        vecs.append({k: x for k, x in combo.items() if x})
+    return draw(st.permutations(vecs))
+
+
+def _space(vecs):
+    space = RowSpace()
+    for v in vecs:
+        space.add(v)
+    return space
+
+
+@given(spanning_vectors())
+def test_row_space_rank_matches_dense_elimination(vecs):
+    space = RowSpace()
+    kernel = []
+    for i, v in enumerate(vecs):
+        residue, tag = space.add(v, {i: Fraction(1)})
+        if not residue:
+            kernel.append(tag)
+    assert space.rank == dense_rank([[v.get(j, Fraction(0)) for j in range(6)] for v in vecs])
+    assert len(kernel) == len(vecs) - space.rank
+    for tag in kernel:
+        assert tag
+        total: dict[int, Fraction] = {}
+        for i, c in tag.items():
+            for k, x in vecs[i].items():
+                total[k] = total.get(k, Fraction(0)) + c * x
+        assert not any(total.values())
+
+
+@given(spanning_vectors(), st.data())
+def test_row_space_basis_is_the_canonical_rref(vecs, data):
+    order = data.draw(st.permutations(range(len(vecs))))
+    scales = data.draw(st.lists(big_fractions, min_size=len(vecs), max_size=len(vecs)))
+    other = RowSpace()
+    for step, i in enumerate(order):
+        if step == len(order) // 2:
+            other.basis()  # rows already in RREF take further inserts too
+        other.add({k: scales[i] * x for k, x in vecs[i].items()})
+    basis = _space(vecs).basis()
+    assert other.basis() == basis
+    for row in basis:
+        pivot = min(row)
+        assert row[pivot] == 1
+        assert all(pivot not in r for r in basis if r is not row)
+
+
+@given(spanning_vectors(), st.dictionaries(st.integers(0, 5), big_fractions, max_size=6))
+def test_row_space_reduce_is_the_normal_form(vecs, vec):
+    space = _space(vecs)
+    normal = space.reduce(vec)
+    assert all(pivot not in normal for pivot, _, _ in space.rows)
+    diff = {
+        k: vec.get(k, Fraction(0)) - normal.get(k, Fraction(0))
+        for k in vec.keys() | normal.keys()
+    }
+    assert space.reduce({k: x for k, x in diff.items() if x}) == {}
+    assert _space(reversed(vecs)).reduce(vec) == normal
 
 
 @given(st.integers(min_value=0, max_value=14))
