@@ -56,7 +56,8 @@ class PontryaginData:
     """Base model plus the characteristic cocycles of a rank-n bundle.
 
     classes[i] is the degree 4(i+1) cocycle p_{i+1}; entries may be zero and
-    a short list is padded with zeros.
+    a short list is padded with zeros.  A rank-n bundle has no nonzero p_i
+    with i > n.
     """
 
     base: FreeCDGA
@@ -64,6 +65,11 @@ class PontryaginData:
     classes: tuple[Polynomial, ...] = ()
 
     def padded_classes(self) -> list[Polynomial]:
+        for i, p in enumerate(self.classes[self.rank :], start=self.rank + 1):
+            if not p.is_zero():
+                raise DegreeMismatchError(
+                    f"p_{i} = {p} is nonzero, but the bundle has rank {self.rank}"
+                )
         out = list(self.classes[: self.rank])
         while len(out) < self.rank:
             out.append(Polynomial.zero())

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from sullivan.cdga import FreeCDGA, Morphism, compose_and_check, validate
 from sullivan.constructors import ClassifyingData, PontryaginData
-from sullivan.gradedalg import Generator, Polynomial
+from sullivan.gradedalg import NAME_PATTERN, Generator, Polynomial, sort_with_sign
 
 
 class DslError(Exception):
@@ -47,7 +47,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
+      | (?P<ident>""" + NAME_PATTERN + r""")
       | (?P<int>[0-9]+)
       | (?P<arrow>->)
       | (?P<punct>[{}():;=+\-*^/,])
@@ -101,16 +101,15 @@ class RawExpr:
     def resolve(self, env: Mapping[str, Generator]) -> Polynomial:
         total = Polynomial.zero()
         for term in self.terms:
-            acc = Polynomial.scalar(term.coefficient)
+            word = []
             for f in term.factors:
                 g = env.get(f.name)
                 if g is None:
                     raise DslError(f"unknown generator {f.name!r}", f.line, f.col)
-                if g.odd and f.exponent > 1:
-                    acc = Polynomial.zero()
-                    break
-                acc = acc * Polynomial.gen(g, f.exponent)
-            total = total + acc
+                word.append((g, f.exponent))
+            mono, sign = sort_with_sign(word)
+            if mono is not None:
+                total = total + Polynomial.monomial(mono, sign * term.coefficient)
         return total
 
 
@@ -549,7 +548,7 @@ def check_document(doc: ModelDocument) -> list[str]:
     decls = {decl.gen_name: decl for decl in doc.diffs}
     out = []
     for violation in validate(model):
-        hit = re.search(r"\(([A-Za-z_][A-Za-z0-9_']*)\)", violation)
+        hit = re.search(rf"\(({NAME_PATTERN})\)", violation)
         decl = decls.get(hit.group(1)) if hit else None
         if decl:
             violation = str(DslError(violation, decl.line, decl.col))

@@ -25,7 +25,9 @@ from sullivan.errors import (
 
 Scalar = Union[int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*\Z")
+# An identifier with optional trailing primes; the DSL lexes names by it too.
+NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*'*"
+_NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 @dataclass(frozen=True)
@@ -286,32 +288,30 @@ def basis_of_degree(
 
     Raises ResourceLimitError when the count would exceed max_size.
     """
-    ordered = sorted(set(gens))
     if n < 0:
         return []
     out: list[Monomial] = []
-
-    def extend(idx: int, remaining: int, acc: list[tuple[Generator, int]]) -> None:
-        if remaining == 0:
-            out.append(Monomial(tuple(acc)))
-            if max_size is not None and len(out) > max_size:
-                raise ResourceLimitError(
-                    f"basis in degree {n} exceeds cap of {max_size} monomials"
-                )
-            return
-        if idx == len(ordered):
-            return
-        g = ordered[idx]
-        top = 1 if g.odd else remaining // g.degree
-        extend(idx + 1, remaining, acc)
-        for e in range(1, top + 1):
-            if g.degree * e > remaining:
-                break
-            extend(idx + 1, remaining - g.degree * e, acc + [(g, e)])
-
-    extend(0, n, [])
-    out.sort(key=lambda m: m.sort_key)
+    for mono in _monomials(sorted(set(gens)), 0, n, ()):
+        out.append(mono)
+        if max_size is not None and len(out) > max_size:
+            raise ResourceLimitError(
+                f"basis in degree {n} exceeds cap of {max_size} monomials"
+            )
     return out
+
+
+def _monomials(ordered: list[Generator], start: int, rest: int, acc: tuple) -> Iterator[Monomial]:
+    """acc times each monomial of degree rest on ordered[start:], in
+    canonical order: earlier generators first, higher powers first."""
+    if rest == 0:
+        yield Monomial(acc)
+        return
+    for i in range(start, len(ordered)):
+        g = ordered[i]
+        if g.degree > rest:
+            break  # ordered ascends by degree
+        for e in range(1 if g.odd else rest // g.degree, 0, -1):
+            yield from _monomials(ordered, i + 1, rest - g.degree * e, acc + ((g, e),))
 
 
 def map_generators(

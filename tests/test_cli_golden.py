@@ -1,0 +1,70 @@
+"""Byte-for-byte CLI output, pinned by golden files.
+
+Each case runs ``python -m sullivan`` in a fresh process, in a directory
+holding the shipped document it reads, and compares stdout, stderr and the
+exit code with ``tests/golden/<case>.stdout``, ``.stderr`` and ``.exit``.
+After an intended output change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sullivan
+from sullivan.presets import data_files, data_text
+
+GOLDEN = Path(__file__).parent / "golden"
+MODELS = sorted(name for name in data_files() if name.endswith(".model"))
+CASES = {"paper-verify": ("paper-verify",)}
+CASES.update(
+    (f"cohomology-{name[: -len('.model')]}", ("cohomology", name, "--json", "--representatives"))
+    for name in MODELS
+)
+
+
+def run_cli(argv, cwd):
+    """(exit code, stdout, stderr) of ``python -m sullivan argv`` run in cwd,
+    with argv's shipped documents written there first."""
+    for name in MODELS:
+        if name in argv:
+            (cwd / name).write_text(data_text(name))
+    env = dict(os.environ, PYTHONPATH=str(Path(sullivan.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sullivan", *argv], cwd=cwd, env=env, capture_output=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def golden(case):
+    return (
+        int((GOLDEN / f"{case}.exit").read_text()),
+        (GOLDEN / f"{case}.stdout").read_bytes(),
+        (GOLDEN / f"{case}.stderr").read_bytes(),
+    )
+
+
+def test_every_case_has_golden_files():
+    stems = {p.name.rsplit(".", 1)[0] for p in GOLDEN.iterdir()}
+    assert stems == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, tmp_path):
+    assert run_cli(CASES[case], tmp_path) == golden(case)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, err = run_cli(argv, Path(tmp))
+        (GOLDEN / f"{case}.exit").write_text(f"{code}\n")
+        (GOLDEN / f"{case}.stdout").write_bytes(out)
+        (GOLDEN / f"{case}.stderr").write_bytes(err)

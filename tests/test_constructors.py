@@ -56,6 +56,14 @@ def test_pontryagin_padding():
     assert padded[1].is_zero() and padded[2].is_zero()
 
 
+def test_pontryagin_classes_past_the_rank_must_vanish():
+    base = hp_model(1)
+    x4 = Polynomial.gen(gen_of(base, "x4"))
+    assert len(PontryaginData(base, 1, (x4, Polynomial.zero())).padded_classes()) == 1
+    with pytest.raises(DegreeMismatchError, match="p_2"):
+        projectivize(PontryaginData(base, 1, (x4, x4 ** 2)))
+
+
 def test_projectivize_trivial_bundle_over_sphere():
     base = sphere_model(8)
     out = projectivize(PontryaginData(base, 2, ()))

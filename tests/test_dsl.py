@@ -69,6 +69,20 @@ def test_odd_square_collapses_to_zero():
     assert parse_expression("z3^2", ENV).is_zero()
 
 
+def test_every_factor_is_resolved_even_after_an_odd_square():
+    for text in ("z3^2*w4 + y4^2", "z3*z3*w4 + y4^2"):
+        msg = positioned_error(lambda: parse_expression(text, ENV))
+        assert msg.endswith("unknown generator 'w4'")
+
+
+def test_factors_are_put_in_canonical_order_with_their_sign():
+    b3 = Generator("b3", 3)
+    env = dict(ENV, b3=b3)
+    assert parse_expression("z3*x4*b3", env) == -parse_expression("b3*z3*x4", env)
+    assert parse_expression("x4*y4^2*x4", env) == parse_expression("x4^2*y4^2", env)
+    assert parse_expression("2*z3*x4^2*z3", env).is_zero()
+
+
 def test_pure_number_term():
     assert parse_expression("5", ENV) == Polynomial.scalar(5)
     assert parse_expression("3/4", ENV) == Polynomial.scalar(Fraction(3, 4))

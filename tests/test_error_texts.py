@@ -1,6 +1,7 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
 unknown generators, repeated names, non-cocycles, the names that leave
-their algebra, and the certificate of a reduction step.
+their algebra, the certificate of a reduction step, and a characteristic
+class past a bundle's rank.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -59,6 +60,11 @@ CASES = [
         "projectivize",
         lambda: projectivize(PontryaginData(HP1, 2, (Z4, W4 * Z4))),
         ("UnknownGeneratorError", "p_1 mentions generators outside the base: z4"),
+    ),
+    (
+        "projectivize-class-past-the-rank",
+        lambda: projectivize(PontryaginData(hp_model(2), 1, (X4, X4 ** 2, X4 ** 3))),
+        ("DegreeMismatchError", "p_2 = x4^2 is nonzero, but the bundle has rank 1"),
     ),
     (
         "biquotient_model",

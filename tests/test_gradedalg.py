@@ -1,7 +1,9 @@
+import gc
 from fractions import Fraction
 
 import pytest
 
+from sullivan.constructors import biquotient_model
 from sullivan.errors import ParityMismatchError, ResourceLimitError
 from sullivan.gradedalg import (
     UNIT,
@@ -12,6 +14,7 @@ from sullivan.gradedalg import (
     sort_with_sign,
     substitute,
 )
+from sullivan.presets import classifying_data
 
 from helpers import brute_monomials, random_polynomial
 
@@ -126,24 +129,52 @@ def test_degree_and_homogeneity():
     assert Polynomial.zero().degree() is None
 
 
-@pytest.mark.parametrize("degree", [0, 3, 4, 7, 8, 11, 12, 16])
-def test_basis_of_degree_matches_exhaustive_enumeration(degree):
-    gens = (a3, b3, x4, y4, v7)
-    fast = basis_of_degree(gens, degree)
-    assert len(set(fast)) == len(fast)
-    assert set(fast) == brute_monomials(gens, degree)
+SMALL = (a3, b3, x4, y4, v7)
+THM33_N3 = biquotient_model(classifying_data("thm33", 3)).generators
+
+
+@pytest.mark.parametrize(
+    "gens, degree",
+    [pytest.param(SMALL, d, id=str(d)) for d in (0, 3, 4, 7, 8, 11, 12, 16)]
+    + [pytest.param(THM33_N3, d, id=f"thm33-n3-{d}") for d in (0, 11, 19, 24, 31)],
+)
+def test_basis_of_degree_matches_exhaustive_enumeration(gens, degree):
+    want = sorted(brute_monomials(gens, degree), key=lambda m: m.sort_key)
+    assert basis_of_degree(gens, degree) == want
 
 
 def test_basis_of_degree_is_sorted_deterministically():
     gens = (x4, y4)
     basis = basis_of_degree(gens, 8)
     assert basis == sorted(basis, key=lambda m: m.sort_key)
+    assert basis_of_degree(reversed(THM33_N3), 24) == basis_of_degree(THM33_N3, 24)
 
 
 def test_basis_of_degree_cap():
     gens = tuple(Generator(f"e{i}_2", 2) for i in range(8))
     with pytest.raises(ResourceLimitError):
         basis_of_degree(gens, 16, max_size=10)
+
+
+@pytest.mark.parametrize("degree", [0, 12, 24])
+def test_basis_of_degree_cap_boundary(degree):
+    basis = basis_of_degree(THM33_N3, degree)
+    assert basis_of_degree(THM33_N3, degree, max_size=len(basis)) == basis
+    with pytest.raises(ResourceLimitError) as info:
+        basis_of_degree(THM33_N3, degree, max_size=len(basis) - 1)
+    assert str(info.value) == (
+        f"basis in degree {degree} exceeds cap of {len(basis) - 1} monomials"
+    )
+
+
+def test_basis_of_degree_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        basis_of_degree(THM33_N3, 24)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_substitute_identity_and_linearity(rng):
