@@ -88,7 +88,13 @@ class Cohomology:
         cocycles: list[Vec] = []
         for j, mono in enumerate(basis):
             dp = apply_d(self.model, Polynomial.monomial(mono))
-            col: Vec = {target_index[m]: c for m, c in dp.terms.items()}
+            try:
+                col: Vec = {target_index[m]: c for m, c in dp.terms.items()}
+            except KeyError as exc:
+                raise DegreeMismatchError(
+                    f"term {exc.args[0]} of d({mono}) is not a monomial of degree {n + 1}"
+                    " in the model's generators"
+                ) from None
             residue, tag = image.add(col, {j: Fraction(1)})
             if not residue:
                 cocycles.append(tag)
@@ -124,7 +130,10 @@ class Cohomology:
         return 0 if n == 0 else self._stage(n - 1).rank
 
     def betti(self, n: int) -> int:
-        return self.cocycle_rank(n) - self.coboundary_rank(n)
+        b = self.cocycle_rank(n) - self.coboundary_rank(n)
+        if b < 0:
+            raise ValueError(f"not a CDGA: b_{n} = {b} is negative, so d(d) is not zero")
+        return b
 
     def h_space(self, n: int) -> tuple[RowSpace, list[Vec]]:
         """RREF basis of cocycles modulo coboundaries in degree n; the

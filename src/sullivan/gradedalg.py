@@ -110,28 +110,20 @@ def sort_with_sign(word: Sequence[tuple[Generator, int]]) -> tuple[Optional[Mono
     Returns (monomial, sign) where sign is +1 or -1, or (None, 0) when the
     word contains an odd generator twice and therefore collapses to zero.
     """
-    items = [(g, e) for g, e in word if e != 0]
-    for g, e in items:
-        if g.odd and e > 1:
-            return None, 0
-    sign = 1
-    # Insertion sort; each adjacent swap of two odd factors flips the sign.
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j][0] < items[j - 1][0]:
-            if items[j][0].odd and items[j - 1][0].odd:
-                sign = -sign
-            items[j - 1], items[j] = items[j], items[j - 1]
-            j -= 1
-    merged: list[tuple[Generator, int]] = []
-    for g, e in items:
-        if merged and merged[-1][0] == g:
-            if g.odd:
+    powers: dict[Generator, int] = {}
+    odd: list[Generator] = []
+    for g, e in word:
+        if not e:
+            continue
+        if g.odd:
+            if e > 1 or g in powers:
                 return None, 0
-            merged[-1] = (g, merged[-1][1] + e)
-        else:
-            merged.append((g, e))
-    return Monomial(tuple(merged)), sign
+            odd.append(g)
+        powers[g] = powers.get(g, 0) + e
+    # Each inversion among the odd factors is one swap that flips the sign.
+    inversions = sum(b < a for i, a in enumerate(odd) for b in odd[i + 1 :])
+    ordered = sorted(powers.items(), key=lambda p: p[0].sort_key)
+    return Monomial(tuple(ordered)), (-1) ** inversions
 
 
 class Polynomial:

@@ -99,21 +99,14 @@ class RowSpace:
 
     def _forward(self, vec: Vec) -> tuple[Vec, dict[int, Fraction]]:
         """Clear vec at every pivot, rows in ascending pivot order: the
-        residue at vec's own scale, and by pivot the nonzero coefficient
-        taken of each row."""
-        if not vec:
-            return {}, {}
-        residue, _ = _primitive(vec, {})
-        first = next(iter(vec))
-        scale = Fraction(residue[first]) / vec[first]
+        residue, and by pivot the nonzero coefficient taken of each row."""
+        residue = dict(vec)
         coeffs: dict[int, Fraction] = {}
         for pivot, row, _ in self.rows:
             if pivot in residue:
-                ratio = Fraction(residue[pivot], row[pivot])
-                _eliminate(residue, row, ratio)
-                coeffs[pivot] = ratio / scale
-                scale *= ratio.denominator
-        return {k: c / scale for k, c in residue.items()}, coeffs
+                coeffs[pivot] = factor = Fraction(residue[pivot]) / row[pivot]
+                vec_sub_scaled(residue, row, factor)
+        return residue, coeffs
 
     def reduce(self, vec: Vec) -> Vec:
         """The normal form of vec: zero at every pivot, and differing from
@@ -137,15 +130,14 @@ class RowSpace:
         for i in reversed(range(len(self.rows))):
             pivot, row, tag = self.rows[i]
             lead = row[pivot]
-            row = {k: Fraction(c) / lead for k, c in row.items()}
+            # Later rows are already reduced and no earlier pivot lies past
+            # this one, so the rest of the row clears as a vector of its own.
+            rest = {k: Fraction(c) / lead for k, c in row.items() if k != pivot}
+            rest, coeffs = self._forward(rest)
+            row = {pivot: Fraction(1), **rest}
             tag = {k: Fraction(c) / lead for k, c in tag.items()}
-            # Every later row is already reduced, so clearing one pivot
-            # column leaves the others as they are.
-            for q in [q for q in row if q != pivot and q in self._pivots]:
-                later, later_tag = self._pivots[q]
-                factor = row[q]
-                vec_sub_scaled(row, later, factor)
-                vec_sub_scaled(tag, later_tag, factor)
+            for q, factor in coeffs.items():
+                vec_sub_scaled(tag, self._pivots[q][1], factor)
             self.rows[i] = (pivot, row, tag)
             self._pivots[pivot] = (row, tag)
         return [dict(row) for _, row, _ in self.rows]

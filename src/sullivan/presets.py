@@ -29,6 +29,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -73,8 +74,10 @@ class Discrepancy:
     evidence: Optional[str] = None
 
 
+@cache
 def discrepancies(case: str) -> tuple[Discrepancy, ...]:
-    """Known-discrepancy records of a case, parsed from its data file."""
+    """Known-discrepancy records of a case, parsed from its data file once
+    per process."""
     _check_case(case)
     parser = configparser.ConfigParser()
     parser.read_string(data_text(f"{case}.discrepancies"))

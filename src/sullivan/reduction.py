@@ -35,6 +35,7 @@ from sullivan.cdga import (
     change_of_variable,
     compose_and_check,
     linear_part,
+    validate,
 )
 from sullivan.cohomology import betti, check_bound
 from sullivan.errors import VerificationFailedError
@@ -156,9 +157,12 @@ def reduce(
     numbers up to check_degree of the result are compared with those of
     the input (two full computations).  check_degree = 0 skips that check,
     not the certificates, and leaves log.betti_before None.  A negative
-    check_degree raises ValueError.
+    check_degree, or a model that breaks the CDGA axioms, raises ValueError.
     """
     check_bound(check_degree, "check_degree")
+    violations = validate(model)
+    if violations:
+        raise ValueError("not a CDGA: " + "; ".join(violations))
     current = model
     log = ReductionLog(check_degree, model, [])
     while (pair := find_reducible(current)) is not None:

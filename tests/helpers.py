@@ -44,6 +44,30 @@ def brute_monomials(gens, degree):
     return found
 
 
+def bubble_sort_with_sign(word):
+    """(monomial, sign) of a word of generator powers, or (None, 0) when it
+    vanishes: adjacent swaps, each of two odd factors negating the sign,
+    then equal neighbours merged."""
+    items = [(g, e) for g, e in word if e]
+    sign = 1
+    for end in range(len(items) - 1, 0, -1):
+        for i in range(end):
+            (g, e), (h, f) = items[i], items[i + 1]
+            if h.sort_key < g.sort_key:
+                items[i], items[i + 1] = (h, f), (g, e)
+                if g.odd and h.odd:
+                    sign = -sign
+    merged = []
+    for g, e in items:
+        if merged and merged[-1][0] == g:
+            merged[-1] = (g, merged[-1][1] + e)
+        else:
+            merged.append((g, e))
+    if any(g.odd and e > 1 for g, e in merged):  # an odd square is zero
+        return None, 0
+    return Monomial(tuple(merged)), sign
+
+
 def dense_rank(rows):
     """Rank of a dense matrix of Fractions by plain Gaussian elimination."""
     matrix = [list(r) for r in rows]

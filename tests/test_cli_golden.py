@@ -19,18 +19,27 @@ import sullivan
 from sullivan.presets import data_files, data_text
 
 GOLDEN = Path(__file__).parent / "golden"
-MODELS = sorted(name for name in data_files() if name.endswith(".model"))
+SHIPPED = data_files()
+
+
+def stems(suffix):
+    return sorted(name[: -len(suffix)] for name in SHIPPED if name.endswith(suffix))
+
+
 CASES = {"paper-verify": ("paper-verify",)}
-CASES.update(
-    (f"cohomology-{name[: -len('.model')]}", ("cohomology", name, "--json", "--representatives"))
-    for name in MODELS
-)
+for stem in stems(".model"):
+    CASES[f"cohomology-{stem}"] = ("cohomology", f"{stem}.model", "--json", "--representatives")
+    CASES[f"reduce-{stem}"] = ("reduce", f"{stem}.model", "--log")
+for stem in stems(".morphism"):
+    CASES[f"quasi-iso-{stem}"] = ("quasi-iso", f"{stem}.morphism", "--max-degree", "16")
+for stem in stems(".bq"):
+    CASES[f"biquotient-{stem}"] = ("biquotient", "--config", f"{stem}.bq")
 
 
 def run_cli(argv, cwd):
     """(exit code, stdout, stderr) of ``python -m sullivan argv`` run in cwd,
     with argv's shipped documents written there first."""
-    for name in MODELS:
+    for name in SHIPPED:
         if name in argv:
             (cwd / name).write_text(data_text(name))
     env = dict(os.environ, PYTHONPATH=str(Path(sullivan.__file__).resolve().parents[1]))

@@ -1,7 +1,8 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
 unknown generators, repeated names, non-cocycles, the names that leave
-their algebra, the certificate of a reduction step, and a characteristic
-class past a bundle's rank.
+their algebra, the certificate of a reduction step, a characteristic
+class past a bundle's rank, and a malformed model handed to cohomology or
+to the reduction.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -10,10 +11,10 @@ checkers that return violations instead of raising, those joined by "; ".
 import pytest
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, compose_and_check, validate
-from sullivan.cohomology import RingPresentation, class_of, cup_product
+from sullivan.cohomology import RingPresentation, betti, class_of, cup_product
 from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
 from sullivan.gradedalg import Generator, Polynomial
-from sullivan.reduction import Cancellation, _certified
+from sullivan.reduction import Cancellation, _certified, reduce
 
 x4, x7, z4, w4, t4 = (Generator(n, d) for n, d in (("x4", 4), ("x7", 7), ("z4", 4), ("w4", 4), ("t4", 4)))
 a4, b4, c4, v4, a7 = (Generator(n, d) for n, d in (("a4", 4), ("b4", 4), ("c4", 4), ("v4", 4), ("a7", 7)))
@@ -21,6 +22,10 @@ X4, X7, Z4, W4 = (Polynomial.gen(g) for g in (x4, x7, z4, w4))
 u3 = Generator("u3", 3)
 x4_again, z4_again = Generator("x4", 6), Generator("z4", 8)  # names reused at other degrees
 HP1 = hp_model(1)  # x4, x7 with d(x7) = x4^2
+x2, y3, a2, b3 = (Generator(n, d) for n, d in (("x2", 2), ("y3", 3), ("a2", 2), ("b3", 3)))
+X2, A2, B3 = (Polynomial.gen(g) for g in (x2, a2, b3))
+INHOMOGENEOUS = FreeCDGA((x2, y3), {y3: X2 ** 2 + X2})
+D_SQUARED_NONZERO = FreeCDGA((a2, b3, c4), {c4: B3 * A2, b3: A2 ** 2})  # d(d(c4)) = a2^3
 
 
 def _outcome(run):
@@ -110,6 +115,37 @@ CASES = [
             "step 'cancel (u3, z4)' fails its certificate: d(u3) = 2*z4, expected z4; "
             "image of x7 mentions unknown generators: x7; unexpected generators w4",
         ),
+    ),
+    (
+        "betti-inhomogeneous",
+        lambda: betti(INHOMOGENEOUS, 8),
+        (
+            "DegreeMismatchError",
+            "term x2 of d(y3) is not a monomial of degree 4 in the model's generators",
+        ),
+    ),
+    (
+        "betti-unknown-generator",
+        lambda: betti(FreeCDGA((x4, a7), {a7: Z4 * W4}), 8),
+        (
+            "DegreeMismatchError",
+            "term w4*z4 of d(a7) is not a monomial of degree 8 in the model's generators",
+        ),
+    ),
+    (
+        "betti-d-squared-nonzero",
+        lambda: betti(D_SQUARED_NONZERO, 8),
+        ("ValueError", "not a CDGA: b_5 = -1 is negative, so d(d) is not zero"),
+    ),
+    (
+        "reduce-d-squared-nonzero",
+        lambda: reduce(D_SQUARED_NONZERO),
+        ("ValueError", "not a CDGA: d(d(c4)) = a2^3 is nonzero"),
+    ),
+    (
+        "reduce-inhomogeneous",
+        lambda: reduce(INHOMOGENEOUS),
+        ("ValueError", "not a CDGA: d(y3) is not homogeneous of degree 4: term x2 has degree 2"),
     ),
     (
         "class_of-zero",

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan import presets
 from sullivan.cdga import compose_and_check
 from sullivan.constructors import biquotient_model, projectivize
 from sullivan.dsl import parse_classifying, parse_morphism, parse_pontryagin
@@ -114,6 +115,14 @@ def test_discrepancy_records_are_complete():
             assert d.title and d.claim and d.issue
             if d.evidence is not None:
                 assert d.evidence in shipped, d.evidence
+
+
+def test_discrepancy_files_are_parsed_once_per_process(monkeypatch):
+    first = discrepancies("prop31")
+    monkeypatch.setattr(presets, "data_text", lambda name: "[broken]\ntitle = t\n")
+    assert discrepancies("prop31") is first
+    with pytest.raises(ValueError, match="^discrepancy 'broken' of case prop31 lacks the 'claim' field$"):
+        discrepancies.__wrapped__("prop31")
 
 
 def test_pontryagin_setup_shapes():

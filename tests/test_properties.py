@@ -21,7 +21,13 @@ from sullivan.linalg import RowSpace
 from sullivan.presets import classifying_data
 from sullivan.reduction import reduce, replay
 
-from helpers import brute_monomials, dense_rank, random_pure_model, random_reducible_model
+from helpers import (
+    brute_monomials,
+    bubble_sort_with_sign,
+    dense_rank,
+    random_pure_model,
+    random_reducible_model,
+)
 
 EVENS = (Generator("x2", 2), Generator("x4", 4), Generator("y4", 4))
 ODDS = (Generator("a3", 3), Generator("b3", 3), Generator("c5", 5))
@@ -146,6 +152,15 @@ def test_sort_with_sign_normalizes_any_word(order):
     assert again == m and sign2 == 1
 
 
+words = st.lists(st.tuples(st.sampled_from(POOL), st.integers(min_value=0, max_value=2)), max_size=6)
+
+
+@given(words)
+def test_sort_with_sign_matches_a_bubble_sort(word):
+    # repeats, zero exponents and odd squares included
+    assert sort_with_sign(word) == bubble_sort_with_sign(word)
+
+
 @given(monomials())
 def test_monomial_sort_key_orders_by_degree_first(m):
     key = m.sort_key
@@ -262,6 +277,35 @@ def test_row_space_reduce_is_the_normal_form(vecs, vec):
     }
     assert space.reduce({k: x for k, x in diff.items() if x}) == {}
     assert _space(reversed(vecs)).reduce(vec) == normal
+
+
+small_ints = st.integers(min_value=-6, max_value=6).filter(bool)
+int_vectors = st.dictionaries(st.integers(0, 5), small_ints, max_size=6)
+exact_vectors = int_vectors | st.dictionaries(st.integers(0, 5), coefficients, max_size=6)
+
+
+def _exact(values):
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+@given(st.lists(exact_vectors, max_size=6), int_vectors)
+def test_row_space_answers_are_exact_and_basis_keeps_the_tags(vecs, vec):
+    space = RowSpace()
+    for i, v in enumerate(vecs):
+        space.add(v, {i: 1})
+    assert _exact(space.reduce(vec).values())
+    assert all(_exact(space.coordinates(v)) for v in vecs)
+    for row in space.basis():
+        assert _exact(row.values())
+    for _, row, tag in space.rows:  # each row is still the combination its tag names
+        assert _exact(tag.values())
+        total: dict[int, Fraction] = {}
+        for i, c in tag.items():
+            for k, x in vecs[i].items():
+                total[k] = total.get(k, 0) + c * x
+        assert {k: x for k, x in total.items() if x} == row
+    assert _exact(space.reduce(vec).values())
+    assert all(_exact(space.coordinates(v)) for v in vecs)
 
 
 @given(st.integers(min_value=0, max_value=14))
