@@ -84,17 +84,18 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
     for mono, coeff in p.terms.items():
         prefix_degree = 0
         for i, (g, e) in enumerate(mono.powers):
-            dg = model.d(g)
-            if not dg.is_zero():
+            dg = model.differential.get(g)
+            if dg is not None:
                 # d(g^e) = e * g^(e-1) * dg, with the Koszul sign of moving
                 # d past the factors before position i.
-                scale = coeff * e * (-1 if prefix_degree % 2 else 1)
+                scale = coeff * (-e if prefix_degree % 2 else e)
                 prefix = mono.powers[:i] + ((g, e - 1),)
                 suffix = mono.powers[i + 1 :]
                 for m, c in dg.terms.items():
                     merged, sign = sort_with_sign(prefix + m.powers + suffix)
                     if sign:
-                        acc[merged] = acc.get(merged, 0) + scale * c * sign
+                        term = scale * c
+                        acc[merged] = acc.get(merged, 0) + (term if sign > 0 else -term)
             prefix_degree += g.degree * e
     return Polynomial(acc)
 

@@ -7,13 +7,19 @@ exceeding exponent 1.  A polynomial is a sparse map from monomials to
 nonzero Fractions.  Reordering factors follows the Koszul rule: swapping
 two odd factors flips the sign, and the square of any odd factor is zero.
 
+Generators and monomials are immutable and store, once, what products read
+per term: the hash, and a generator's parity and sort key.  Only the public
+constructors validate; basis enumeration and sort_with_sign build monomials
+canonical by construction, unchecked.  Pickling rebuilds both through the
+public constructor, because str hashes differ between processes.
+
 All arithmetic is exact.  Floats never appear.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -30,24 +36,28 @@ NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*'*"
 _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
     degree: int
+    _hash: int = field(init=False, repr=False, compare=False)
+    odd: bool = field(init=False, repr=False, compare=False)
+    sort_key: tuple[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError(f"generator degree must be >= 1, got {self.degree}")
         if not _NAME_RE.match(self.name):
             raise ValueError(f"bad generator name {self.name!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.degree)))
+        object.__setattr__(self, "odd", self.degree % 2 == 1)
+        object.__setattr__(self, "sort_key", (self.degree, self.name))
 
-    @property
-    def odd(self) -> bool:
-        return self.degree % 2 == 1
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def sort_key(self) -> tuple[int, str]:
-        return (self.degree, self.name)
+    def __reduce__(self):
+        return (Generator, (self.name, self.degree))
 
     def __lt__(self, other: "Generator") -> bool:
         return self.sort_key < other.sort_key
@@ -56,11 +66,12 @@ class Generator:
         return f"Generator({self.name!r}, {self.degree})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A canonical product of generator powers; the empty product is 1."""
 
     powers: tuple[tuple[Generator, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev: Optional[Generator] = None
@@ -72,6 +83,21 @@ class Monomial:
             if prev is not None and not prev < g:
                 raise ValueError("monomial factors out of order")
             prev = g
+        object.__setattr__(self, "_hash", hash((self.powers,)))
+
+    @classmethod
+    def _canonical(cls, powers: tuple[tuple[Generator, int], ...]) -> "Monomial":
+        """The monomial of powers that are canonical by construction, unchecked."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "powers", powers)
+        object.__setattr__(mono, "_hash", hash((powers,)))
+        return mono
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Monomial, (self.powers,))
 
     @property
     def degree(self) -> int:
@@ -123,7 +149,7 @@ def sort_with_sign(word: Sequence[tuple[Generator, int]]) -> tuple[Optional[Mono
     # Each inversion among the odd factors is one swap that flips the sign.
     inversions = sum(b < a for i, a in enumerate(odd) for b in odd[i + 1 :])
     ordered = sorted(powers.items(), key=lambda p: p[0].sort_key)
-    return Monomial(tuple(ordered)), (-1) ** inversions
+    return Monomial._canonical(tuple(ordered)), (-1) ** inversions
 
 
 class Polynomial:
@@ -296,7 +322,7 @@ def _monomials(ordered: list[Generator], start: int, rest: int, acc: tuple) -> I
     """acc times each monomial of degree rest on ordered[start:], in
     canonical order: earlier generators first, higher powers first."""
     if rest == 0:
-        yield Monomial(acc)
+        yield Monomial._canonical(acc)
         return
     for i in range(start, len(ordered)):
         g = ordered[i]

@@ -68,6 +68,24 @@ def bubble_sort_with_sign(word):
     return Monomial(tuple(merged)), sign
 
 
+def leibniz_d(model, monomial):
+    """d of a monomial by the graded Leibniz rule on its single factors:
+    the sum over i of (-1)^(degree before i) * (product before i) * d(g_i)
+    * (product after i), with x^2*y read as the word x, x, y."""
+    factors = [g for g, e in monomial.powers for _ in range(e)]
+    total = Polynomial.zero()
+    for i, g in enumerate(factors):
+        before = sum(h.degree for h in factors[:i])
+        term = Polynomial.scalar(-1 if before % 2 else 1)
+        for h in factors[:i]:
+            term = term * Polynomial.gen(h)
+        term = term * model.d(g)
+        for h in factors[i + 1 :]:
+            term = term * Polynomial.gen(h)
+        total = total + term
+    return total
+
+
 def dense_rank(rows):
     """Rank of a dense matrix of Fractions by plain Gaussian elimination."""
     matrix = [list(r) for r in rows]

@@ -25,6 +25,7 @@ from helpers import (
     brute_monomials,
     bubble_sort_with_sign,
     dense_rank,
+    leibniz_d,
     random_pure_model,
     random_reducible_model,
 )
@@ -141,6 +142,45 @@ def test_differential_squares_to_zero(pd):
     assert apply_d(MODEL, apply_d(MODEL, p)).is_zero()
 
 
+# Two odd generators of degree 3 let d(c5) hold e3*f3, the cli-nonpure
+# shape a*e1*e2 + b*x1^2*x2, and any factor after an odd one has an odd
+# prefix degree.
+LEIBNIZ_POOL = (
+    Generator("x2", 2), Generator("y2", 2), Generator("e3", 3), Generator("f3", 3), Generator("c5", 5)
+)
+
+
+@st.composite
+def free_differentials(draw):
+    """A differential on LEIBNIZ_POOL of degree +1 on each generator, that
+    need not square to zero; even generators may have nonzero d."""
+    diff = {}
+    for g in LEIBNIZ_POOL:
+        basis = basis_of_degree(LEIBNIZ_POOL, g.degree + 1)
+        picked = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
+        coeffs = draw(st.lists(coefficients, min_size=len(picked), max_size=len(picked)))
+        diff[g] = Polynomial(dict(zip(picked, coeffs)))
+    return FreeCDGA(LEIBNIZ_POOL, diff)
+
+
+@st.composite
+def leibniz_monomials(draw):
+    powers = []
+    for g in LEIBNIZ_POOL:
+        e = draw(st.integers(min_value=0, max_value=1 if g.odd else 3))
+        if e:
+            powers.append((g, e))
+    return Monomial(tuple(powers))
+
+
+@given(free_differentials(), st.dictionaries(leibniz_monomials(), coefficients, max_size=3))
+def test_apply_d_matches_the_leibniz_rule_on_single_factors(model, terms):
+    want = Polynomial.zero()
+    for m, c in terms.items():
+        want = want + leibniz_d(model, m) * c
+    assert apply_d(model, Polynomial(terms)) == want
+
+
 @given(st.permutations(list(POOL)))
 def test_sort_with_sign_normalizes_any_word(order):
     word = [(g, 1) for g in order]
@@ -155,10 +195,18 @@ def test_sort_with_sign_normalizes_any_word(order):
 words = st.lists(st.tuples(st.sampled_from(POOL), st.integers(min_value=0, max_value=2)), max_size=6)
 
 
+def _as_if_public(m):
+    """m equals and hashes like the monomial the validating constructor builds."""
+    public = Monomial(m.powers)
+    return m == public and hash(m) == hash(public)
+
+
 @given(words)
 def test_sort_with_sign_matches_a_bubble_sort(word):
     # repeats, zero exponents and odd squares included
-    assert sort_with_sign(word) == bubble_sort_with_sign(word)
+    m, sign = sort_with_sign(word)
+    assert (m, sign) == bubble_sort_with_sign(word)
+    assert m is None or _as_if_public(m)
 
 
 @given(monomials())
@@ -311,7 +359,9 @@ def test_row_space_answers_are_exact_and_basis_keeps_the_tags(vecs, vec):
 @given(st.integers(min_value=0, max_value=14))
 def test_basis_enumeration_is_complete_and_duplicate_free(degree):
     want = sorted(brute_monomials(POOL, degree), key=lambda m: m.sort_key)
-    assert basis_of_degree(POOL, degree) == want
+    basis = basis_of_degree(POOL, degree)
+    assert basis == want
+    assert all(_as_if_public(m) for m in basis)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
