@@ -14,6 +14,7 @@ uniform across subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -205,6 +206,7 @@ def cmd_paper_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 3
 
 
+@functools.cache  # one parser per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sullivan",

@@ -2,13 +2,13 @@
 
 Everything is brute force on purpose: each degree gets its full monomial
 basis, the differential becomes a sparse matrix, and ranks, kernels, and
-quotient bases come from exact fraction-free elimination.  The canonical
-reduced row echelon form is built only for representatives: they are the
-RREF rows of the cocycle space modulo coboundaries, which is unique for
-that span, so repeated runs pick identical representatives.
+quotient bases come from exact fraction-free elimination.  Representatives
+are the RREF rows of the cocycle space modulo coboundaries, built as fresh
+rows: that form is unique for the span, so repeated runs pick identical
+representatives, and a class's coordinates are its values at their pivots.
 
-RHT_MAX_BASIS in the environment overrides the default cap of 200000
-monomials per degree.
+RHT_MAX_BASIS in the environment, a nonnegative integer, overrides the
+default cap of 200000 monomials per degree.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check
-from sullivan.errors import (
-    DegreeMismatchError,
-    NotACocycleError,
-    ResourceLimitError,
-)
+from sullivan.errors import DegreeMismatchError, NotACocycleError
 from sullivan.gradedalg import (
     Generator,
     Monomial,
@@ -39,12 +35,15 @@ DEFAULT_MAX_BASIS = 200_000
 
 def max_basis_cap() -> int:
     env = os.environ.get("RHT_MAX_BASIS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ResourceLimitError(f"bad RHT_MAX_BASIS value {env!r}") from exc
-    return DEFAULT_MAX_BASIS
+    if env is None:
+        return DEFAULT_MAX_BASIS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"bad RHT_MAX_BASIS value {env!r}")
+    return cap
 
 
 def check_bound(value: Optional[int], name: str, least: int = 0) -> None:
@@ -65,7 +64,6 @@ class _Stage:
     index: dict[Monomial, int]
     cocycles: list[Vec]          # kernel of d_n over the degree-n basis
     image: RowSpace              # column span of d_n, over the degree-(n+1) basis
-    rank: int                    # rank of d_n
 
 
 class Cohomology:
@@ -98,9 +96,9 @@ class Cohomology:
             residue, tag = image.add(col, {j: Fraction(1)})
             if not residue:
                 cocycles.append(tag)
-        stage = _Stage(basis, index, cocycles, image, image.rank)
+        stage = _Stage(basis, index, cocycles, image)
         # Rank-nullity double entry: dim ker + dim im = dim of the degree.
-        assert len(cocycles) + stage.rank == len(basis)
+        assert len(cocycles) + image.rank == len(basis)
         self._stages[n] = stage
         return stage
 
@@ -123,14 +121,8 @@ class Cohomology:
             return RowSpace()
         return self._stage(n - 1).image
 
-    def cocycle_rank(self, n: int) -> int:
-        return len(self._stage(n).cocycles)
-
-    def coboundary_rank(self, n: int) -> int:
-        return 0 if n == 0 else self._stage(n - 1).rank
-
     def betti(self, n: int) -> int:
-        b = self.cocycle_rank(n) - self.coboundary_rank(n)
+        b = len(self._stage(n).cocycles) - self.coboundaries(n).rank
         if b < 0:
             raise ValueError(f"not a CDGA: b_{n} = {b} is negative, so d(d) is not zero")
         return b
@@ -155,18 +147,16 @@ class Cohomology:
         cocycle reduced modulo coboundaries."""
         space, _ = self.h_space(n)
         residue = self.coboundaries(n).reduce(self.to_vector(cocycle, n))
-        coords = space.coordinates(residue)
-        if coords is None:  # cannot happen for an actual cocycle
+        if space.reduce(residue):  # cannot happen for an actual cocycle
             raise AssertionError("cocycle not in the span of cohomology representatives")
-        return coords, residue
+        # Each representative is 1 at its own pivot and 0 at the others.
+        return [Fraction(residue.get(pivot, 0)) for pivot, _, _ in space.rows], residue
 
 
 @dataclass
 class CohomologyReport:
     max_degree: int
     betti: dict[int, int]
-    cocycle_rank: dict[int, int]
-    coboundary_rank: dict[int, int]
     representatives: Optional[dict[int, list[Polynomial]]] = None
 
     def total_dim(self) -> int:
@@ -187,16 +177,12 @@ def betti(
         max_degree = default_max_degree(model)
     coh = Cohomology(model)
     b: dict[int, int] = {}
-    zr: dict[int, int] = {}
-    br: dict[int, int] = {}
     reps: dict[int, list[Polynomial]] = {}
     for n in range(max_degree + 1):
         b[n] = coh.betti(n)
-        zr[n] = coh.cocycle_rank(n)
-        br[n] = coh.coboundary_rank(n)
         if representatives:
             reps[n] = coh.representatives(n)
-    return CohomologyReport(max_degree, b, zr, br, reps if representatives else None)
+    return CohomologyReport(max_degree, b, reps if representatives else None)
 
 
 @dataclass(frozen=True)
@@ -279,21 +265,19 @@ def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int
     """
     check_bound(max_degree, "max_degree")
     cap = max_basis_cap()
+    relations = [(r, r.degree()) for r in pres.relations if not r.is_zero()]
+    bases: list[list[Monomial]] = []  # by degree, each enumerated once
     dims: dict[int, int] = {}
     for n in range(max_degree + 1):
         basis = basis_of_degree(pres.generators, n, cap)
+        bases.append(basis)
         index = {m: i for i, m in enumerate(basis)}
         span = RowSpace()
-        for r in pres.relations:
-            if r.is_zero():
-                continue
-            rdeg = r.degree()
-            assert rdeg is not None
-            if rdeg > n:
-                continue
-            for m in basis_of_degree(pres.generators, n - rdeg, cap):
-                product = Polynomial.monomial(m) * r
-                span.add({index[mm]: c for mm, c in product.terms.items()})
+        for r, rdeg in relations:
+            if rdeg <= n:
+                for m in bases[n - rdeg]:
+                    product = Polynomial.monomial(m) * r
+                    span.add({index[mm]: c for mm, c in product.terms.items()})
         dims[n] = len(basis) - span.rank
     return dims
 

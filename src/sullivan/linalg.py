@@ -6,9 +6,9 @@ pivot (its leading column).  Inserting a vector eliminates it only until
 its leading column is not yet a pivot, with integer ``m*v - n*row`` steps
 (Bareiss, Math. Comp. 22, 1968); the stored rows are never touched again.
 Ranks and kernels need nothing more.  Where a canonical basis matters
-(cohomology representatives), ``basis()`` turns the rows into the reduced
-row echelon form once; that form is unique for the span, so it does not
-depend on the order of insertion.
+(cohomology representatives), ``basis()`` builds the reduced row echelon
+form as fresh rows and writes nothing back; that form is unique for the
+span, so it does not depend on the order of insertion.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 Vec = dict[int, Union[int, Fraction]]
 
@@ -52,6 +52,15 @@ def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
         {k: c.numerator * (den // c.denominator) // num for k, c in vec.items()},
         {k: c.numerator * (den // c.denominator) // num for k, c in tag.items()},
     )
+
+
+def _clear(vec: Vec, rows: Iterable[tuple[int, Vec, Vec]]) -> Vec:
+    """vec cleared at each pivot of rows, (pivot, row, tag) triples in ascending pivot order."""
+    residue = dict(vec)
+    for pivot, row, _ in rows:
+        if pivot in residue:
+            vec_sub_scaled(residue, row, Fraction(residue[pivot]) / row[pivot])
+    return residue
 
 
 class RowSpace:
@@ -97,47 +106,21 @@ class RowSpace:
             self.rows.insert(bisect(self.rows, pivot, key=lambda r: r[0]), (pivot, residue, rtag))
         return residue, rtag
 
-    def _forward(self, vec: Vec) -> tuple[Vec, dict[int, Fraction]]:
-        """Clear vec at every pivot, rows in ascending pivot order: the
-        residue, and by pivot the nonzero coefficient taken of each row."""
-        residue = dict(vec)
-        coeffs: dict[int, Fraction] = {}
-        for pivot, row, _ in self.rows:
-            if pivot in residue:
-                coeffs[pivot] = factor = Fraction(residue[pivot]) / row[pivot]
-                vec_sub_scaled(residue, row, factor)
-        return residue, coeffs
-
     def reduce(self, vec: Vec) -> Vec:
         """The normal form of vec: zero at every pivot, and differing from
         vec by an element of the span.  It is unique for the span."""
-        return self._forward(vec)[0]
-
-    def coordinates(self, vec: Vec) -> Optional[list[Fraction]]:
-        """Coefficients expressing vec over the current rows, or None."""
-        residue, coeffs = self._forward(vec)
-        if residue:
-            return None
-        return [coeffs.get(pivot, Fraction(0)) for pivot, _, _ in self.rows]
+        return _clear(vec, self.rows)
 
     def basis(self) -> list[Vec]:
-        """The reduced row echelon basis of the span, in pivot order.
-
-        The rows become it in place: Fraction values, a leading 1, and zero
-        at every other pivot.  Coordinates are then the values at the
-        pivots.
-        """
-        for i in reversed(range(len(self.rows))):
-            pivot, row, tag = self.rows[i]
+        """The reduced row echelon basis of the span, in pivot order: fresh
+        Fraction rows with a leading 1 and zero at every other pivot.  The
+        stored rows are left as they are."""
+        rref: list[tuple[int, Vec, Vec]] = []  # pivot descending
+        for pivot, row, _ in reversed(self.rows):
             lead = row[pivot]
-            # Later rows are already reduced and no earlier pivot lies past
-            # this one, so the rest of the row clears as a vector of its own.
+            # Rows past this pivot are already reduced and no earlier pivot
+            # lies past it, so the rest of the row clears as a vector of its own.
             rest = {k: Fraction(c) / lead for k, c in row.items() if k != pivot}
-            rest, coeffs = self._forward(rest)
-            row = {pivot: Fraction(1), **rest}
-            tag = {k: Fraction(c) / lead for k, c in tag.items()}
-            for q, factor in coeffs.items():
-                vec_sub_scaled(tag, self._pivots[q][1], factor)
-            self.rows[i] = (pivot, row, tag)
-            self._pivots[pivot] = (row, tag)
-        return [dict(row) for _, row, _ in self.rows]
+            rest = _clear(rest, reversed(rref))
+            rref.append((pivot, {pivot: Fraction(1), **rest}, {}))
+        return [row for _, row, _ in reversed(rref)]

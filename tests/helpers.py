@@ -141,6 +141,27 @@ def betti_by_elimination(model, max_degree):
     return out
 
 
+def quotient_dims_by_elimination(gens, relations, max_degree):
+    """Graded dimensions of Q[gens]/(relations): in each degree, the
+    brute-force basis size minus the dense rank of every monomial multiple
+    of every nonzero relation."""
+    out = {}
+    for n in range(max_degree + 1):
+        basis = sorted(brute_monomials(gens, n), key=lambda m: m.sort_key)
+        index = {m: i for i, m in enumerate(basis)}
+        rows = []
+        for r in relations:
+            if r.is_zero() or r.degree() > n:
+                continue
+            for m in brute_monomials(gens, n - r.degree()):
+                row = [Fraction(0)] * len(basis)
+                for mm, c in (Polynomial.monomial(m) * r).terms.items():
+                    row[index[mm]] = c
+                rows.append(row)
+        out[n] = len(basis) - dense_rank(rows)
+    return out
+
+
 def random_polynomial(rng: random.Random, gens, degree, max_terms=3):
     """A random polynomial of one degree over the given generators."""
     pool = sorted(brute_monomials(gens, degree), key=lambda m: m.sort_key)

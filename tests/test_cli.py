@@ -1,3 +1,6 @@
+import argparse
+import gc
+
 import pytest
 
 from sullivan.cli import main
@@ -236,6 +239,32 @@ def test_resource_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RHT_MAX_BASIS", "1")
     assert main(["cohomology", wide, "--max-degree", "8"]) == 4
     assert "exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_cap_is_bad_input(hp2_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("RHT_MAX_BASIS", value)
+    assert main(["cohomology", hp2_file, "--max-degree", "8"]) == 2
+    assert capsys.readouterr().err == f"error: bad RHT_MAX_BASIS value {value!r}\n"
+    monkeypatch.setenv("RHT_MAX_BASIS", "0")  # a cap, not bad input
+    assert main(["cohomology", hp2_file, "--max-degree", "8"]) == 4
+    assert "exceeds cap of 0" in capsys.readouterr().err
+
+
+def test_main_leaves_no_parser_behind(capsys):
+    argv = ["paper-verify", "--case", "thm34"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert parsers == []
+    capsys.readouterr()
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

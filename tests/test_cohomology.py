@@ -56,10 +56,6 @@ def test_report_bookkeeping_fields():
     assert report.total_dim() == 3
     assert report.betti[5] == 0
     assert [str(p) for p in report.representatives[8]] == ["x4^2"]
-    # rank(d) in one degree is shared between the two tallies
-    for n in range(1, 12):
-        assert report.cocycle_rank[n] >= 0
-        assert report.coboundary_rank[n] >= 0
 
 
 def test_representatives_are_cocycles_and_not_coboundaries():
@@ -213,7 +209,7 @@ def test_max_basis_cap_env_override(monkeypatch):
     monkeypatch.setenv("RHT_MAX_BASIS", "123")
     assert max_basis_cap() == 123
     monkeypatch.setenv("RHT_MAX_BASIS", "not-a-number")
-    with pytest.raises(ResourceLimitError, match="bad RHT_MAX_BASIS"):
+    with pytest.raises(ValueError, match="bad RHT_MAX_BASIS"):
         max_basis_cap()
     assert default > 0
 

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from sullivan import cohomology
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, rename_generators
-from sullivan.cohomology import betti
+from sullivan.cohomology import Cohomology, RingPresentation, betti, class_of, quotient_ring_dims
 from sullivan.constructors import biquotient_model
 from sullivan.dsl import parse_model, render_model
 from sullivan.gradedalg import (
@@ -26,6 +28,7 @@ from helpers import (
     bubble_sort_with_sign,
     dense_rank,
     leibniz_d,
+    quotient_dims_by_elimination,
     random_pure_model,
     random_reducible_model,
 )
@@ -230,18 +233,25 @@ def test_algebra_maps_are_multiplicative(images, p, q, g):
     assert substitute(p * q, g, r) == substitute(p, g, r) * substitute(q, g, r)
 
 
+def _combination(coeffs, rows):
+    vec = {}
+    for c, row in zip(coeffs, rows):
+        for k, v in row.items():
+            vec[k] = vec.get(k, Fraction(0)) + c * v
+    return {k: v for k, v in vec.items() if v}
+
+
 @given(row_spaces(), st.data())
 def test_row_space_coordinates_recover_the_combination(space, data):
     coeffs = data.draw(
         st.lists(coefficients | st.just(Fraction(0)), min_size=space.rank, max_size=space.rank)
     )
-    vec = {}
-    for c, (_, row, _) in zip(coeffs, space.rows):
-        for k, v in row.items():
-            vec[k] = vec.get(k, Fraction(0)) + c * v
-    vec = {k: v for k, v in vec.items() if v}
-    assert space.coordinates(vec) == coeffs
-    assert space.coordinates({**vec, 8: Fraction(1)}) is None
+    vec = _combination(coeffs, [row for _, row, _ in space.rows])
+    # over the reduced echelon basis, the coordinates are the values at the pivots
+    basis = space.basis()
+    assert _combination([vec.get(min(row), 0) for row in basis], basis) == vec
+    assert space.reduce(vec) == {}
+    assert space.reduce({**vec, 8: Fraction(1)}) != {}
 
 
 big_fractions = st.fractions(
@@ -304,7 +314,7 @@ def test_row_space_basis_is_the_canonical_rref(vecs, data):
     other = RowSpace()
     for step, i in enumerate(order):
         if step == len(order) // 2:
-            other.basis()  # rows already in RREF take further inserts too
+            other.basis()  # a query: the inserts after it see the same rows
         other.add({k: scales[i] * x for k, x in vecs[i].items()})
     basis = _space(vecs).basis()
     assert other.basis() == basis
@@ -336,13 +346,18 @@ def _exact(values):
     return all(type(c) in (int, Fraction) for c in values)
 
 
+def _integer_rows(space):
+    return all(type(c) is int for _, row, tag in space.rows for c in (*row.values(), *tag.values()))
+
+
 @given(st.lists(exact_vectors, max_size=6), int_vectors)
 def test_row_space_answers_are_exact_and_basis_keeps_the_tags(vecs, vec):
     space = RowSpace()
     for i, v in enumerate(vecs):
         space.add(v, {i: 1})
     assert _exact(space.reduce(vec).values())
-    assert all(_exact(space.coordinates(v)) for v in vecs)
+    assert _integer_rows(space)
+    before = [(pivot, dict(row), dict(tag)) for pivot, row, tag in space.rows]
     for row in space.basis():
         assert _exact(row.values())
     for _, row, tag in space.rows:  # each row is still the combination its tag names
@@ -353,7 +368,7 @@ def test_row_space_answers_are_exact_and_basis_keeps_the_tags(vecs, vec):
                 total[k] = total.get(k, 0) + c * x
         assert {k: x for k, x in total.items() if x} == row
     assert _exact(space.reduce(vec).values())
-    assert all(_exact(space.coordinates(v)) for v in vecs)
+    assert space.rows == before and _integer_rows(space)
 
 
 @given(st.integers(min_value=0, max_value=14))
@@ -415,3 +430,58 @@ def test_renaming_preserves_betti(seed):
     }
     renamed = rename_generators(model, mapping)
     assert betti(renamed, 9).betti == betti(model, 9).betti
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+@settings(max_examples=25, deadline=None)
+def test_class_of_reads_back_a_combination_of_representatives(seed, data):
+    model = random_pure_model(random.Random(seed))
+    coh = Cohomology(model)
+    degrees = [n for n in range(1, 12) if coh.betti(n)]
+    assume(degrees)
+    n = data.draw(st.sampled_from(degrees))
+    reps = coh.representatives(n)
+    coeffs = data.draw(
+        st.lists(coefficients | st.just(Fraction(0)), min_size=len(reps), max_size=len(reps))
+    )
+    assume(any(coeffs))
+    combo = Polynomial.zero()
+    for c, rep in zip(coeffs, reps):
+        combo = combo + c * rep
+    boundary = Polynomial.zero()
+    below = basis_of_degree(model.generators, n - 1)
+    if below:
+        m = data.draw(st.sampled_from(below))
+        boundary = data.draw(coefficients) * apply_d(model, Polynomial.monomial(m))
+    cls = class_of(model, combo + boundary)
+    assert cls.degree == n
+    assert list(cls.coordinates) == coeffs
+    assert cls.representative == combo
+
+
+@st.composite
+def homogeneous_relations(draw, degree):
+    pool = basis_of_degree(EVENS, degree)
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return Polynomial({m: draw(coefficients) for m in picked})
+
+
+@given(st.integers(min_value=0, max_value=12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_quotient_ring_dims_match_dense_elimination(max_degree, data):
+    degrees = st.sampled_from(range(2, 13, 2))
+    relations = data.draw(st.lists(degrees.flatmap(homogeneous_relations), max_size=3))
+    if data.draw(st.booleans()):
+        relations.append(Polynomial.zero())
+    if data.draw(st.booleans()):
+        relations.append(Polynomial.scalar(data.draw(coefficients)))
+    if data.draw(st.booleans()):  # above max_degree, so it never acts
+        relations.append(data.draw(homogeneous_relations(max_degree + 2 - max_degree % 2)))
+    relations = data.draw(st.permutations(relations))
+    pres = RingPresentation(EVENS, tuple(relations))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohomology, "basis_of_degree", lambda *a: calls.append(a) or basis_of_degree(*a))
+        dims = quotient_ring_dims(pres, max_degree)
+    assert dims == quotient_dims_by_elimination(EVENS, relations, max_degree)
+    assert len(calls) == max_degree + 1
