@@ -1,8 +1,8 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
 unknown generators, repeated names, non-cocycles, the names that leave
 their algebra, the certificate of a reduction step, a characteristic
-class past a bundle's rank, and a malformed model handed to cohomology or
-to the reduction.
+class past a bundle's rank, a malformed model handed to cohomology or to
+the reduction, and a cohomology handed in with another model.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -11,7 +11,7 @@ checkers that return violations instead of raising, those joined by "; ".
 import pytest
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, compose_and_check, validate
-from sullivan.cohomology import RingPresentation, betti, class_of, cup_product
+from sullivan.cohomology import Cohomology, RingPresentation, betti, class_of, cup_product
 from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
 from sullivan.gradedalg import Generator, Polynomial
 from sullivan.reduction import Cancellation, _certified, reduce
@@ -25,6 +25,9 @@ HP1 = hp_model(1)  # x4, x7 with d(x7) = x4^2
 x2, y3, a2, b3 = (Generator(n, d) for n, d in (("x2", 2), ("y3", 3), ("a2", 2), ("b3", 3)))
 X2, A2, B3 = (Polynomial.gen(g) for g in (x2, a2, b3))
 INHOMOGENEOUS = FreeCDGA((x2, y3), {y3: X2 ** 2 + X2})
+# b3 comes first in canonical order, so its term is the one named.
+TWO_INHOMOGENEOUS = FreeCDGA((x2, y3, b3), {y3: X2 ** 2 + X2, b3: X2 ** 2 - X2 ** 3})
+HP1_WITHOUT_D = FreeCDGA((x4, x7))
 D_SQUARED_NONZERO = FreeCDGA((a2, b3, c4), {c4: B3 * A2, b3: A2 ** 2})  # d(d(c4)) = a2^3
 
 
@@ -125,6 +128,14 @@ CASES = [
         ),
     ),
     (
+        "betti-two-inhomogeneous-generators",
+        lambda: betti(TWO_INHOMOGENEOUS, 8),
+        (
+            "DegreeMismatchError",
+            "term x2^3 of d(b3) is not a monomial of degree 4 in the model's generators",
+        ),
+    ),
+    (
         "betti-unknown-generator",
         lambda: betti(FreeCDGA((x4, a7), {a7: Z4 * W4}), 8),
         (
@@ -161,6 +172,16 @@ CASES = [
         "class_of-not-a-cocycle",
         lambda: class_of(HP1, 2 * X7),
         ("NotACocycleError", "d(2*x7) = 2*x4^2 is nonzero"),
+    ),
+    (
+        "class_of-cohomology-of-another-model",
+        lambda: class_of(HP1, X4 ** 2, Cohomology(HP1_WITHOUT_D)),
+        ("ValueError", "coh is the cohomology of another model"),
+    ),
+    (
+        "cup_product-cohomology-of-another-model",
+        lambda: cup_product(HP1, X4, X4, Cohomology(HP1_WITHOUT_D)),
+        ("ValueError", "coh is the cohomology of another model"),
     ),
     (
         "cup_product-zero",

@@ -19,7 +19,7 @@ from sullivan.gradedalg import (
     sort_with_sign,
     substitute,
 )
-from sullivan.linalg import RowSpace
+from sullivan.linalg import RowSpace, Vec
 from sullivan.presets import classifying_data
 from sullivan.reduction import reduce, replay
 
@@ -260,23 +260,24 @@ big_fractions = st.fractions(
 
 
 @st.composite
-def spanning_vectors(draw, width=6):
-    """Sparse vectors with large denominators: a few free ones and some
-    rational combinations of them, in a drawn order."""
+def spanning_vectors(draw, entries=big_fractions, width=6):
+    """Sparse vectors, by default with large denominators: a few free ones
+    and some combinations of them with coefficients drawn like their
+    entries, in a drawn order."""
     free = draw(
         st.lists(
-            st.dictionaries(st.integers(0, width - 1), big_fractions, min_size=1, max_size=width),
+            st.dictionaries(st.integers(0, width - 1), entries, min_size=1, max_size=width),
             min_size=1,
             max_size=4,
         )
     )
     vecs = list(free)
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        coeffs = draw(st.lists(big_fractions, min_size=len(free), max_size=len(free)))
-        combo: dict[int, Fraction] = {}
+        coeffs = draw(st.lists(entries, min_size=len(free), max_size=len(free)))
+        combo: Vec = {}
         for c, v in zip(coeffs, free):
             for k, x in v.items():
-                combo[k] = combo.get(k, Fraction(0)) + c * x
+                combo[k] = combo.get(k, 0) + c * x
         vecs.append({k: x for k, x in combo.items() if x})
     return draw(st.permutations(vecs))
 
@@ -340,6 +341,20 @@ def test_row_space_reduce_is_the_normal_form(vecs, vec):
 small_ints = st.integers(min_value=-6, max_value=6).filter(bool)
 int_vectors = st.dictionaries(st.integers(0, 5), small_ints, max_size=6)
 exact_vectors = int_vectors | st.dictionaries(st.integers(0, 5), coefficients, max_size=6)
+
+
+@given(spanning_vectors(small_ints) | spanning_vectors(), exact_vectors, st.data())
+def test_row_space_answers_do_not_depend_on_insertion_order(vecs, probe, data):
+    # Cohomology inserts each degree's columns last to first on this law.
+    order = data.draw(st.permutations(range(len(vecs))))
+    space = _space(vecs)
+    other = RowSpace()
+    for i in order:
+        other.add(vecs[i], {i: 1})
+    assert other.rank == space.rank
+    assert [pivot for pivot, _, _ in other.rows] == [pivot for pivot, _, _ in space.rows]
+    assert other.reduce(probe) == space.reduce(probe)
+    assert other.basis() == space.basis()
 
 
 def _exact(values):
