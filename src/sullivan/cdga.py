@@ -24,10 +24,10 @@ from sullivan.gradedalg import (
     Generator,
     Monomial,
     Polynomial,
+    _times,
     fresh_name,
     map_generators,
     repeated_names,
-    sort_with_sign,
     substitute,
     unknown_names,
 )
@@ -37,6 +37,9 @@ from sullivan.gradedalg import (
 class FreeCDGA:
     generators: tuple[Generator, ...]
     differential: Mapping[Generator, Polynomial] = field(default_factory=dict)
+    # Every generator -> the terms (powers, coefficient, odd factors) of its
+    # differential, for apply_d; a coefficient is an int when integral.
+    _leibniz: Mapping[Generator, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.generators))
@@ -51,6 +54,14 @@ class FreeCDGA:
                 )
         object.__setattr__(self, "generators", ordered)
         object.__setattr__(self, "differential", diff)
+        leibniz = {
+            g: tuple(
+                (m.powers, c.numerator if c.denominator == 1 else c, sum(h.odd for h, _ in m.powers))
+                for m, c in self.d(g).terms.items()
+            )
+            for g in ordered
+        }
+        object.__setattr__(self, "_leibniz", leibniz)
 
     def d(self, g: Generator) -> Polynomial:
         return self.differential.get(g, Polynomial.zero())
@@ -76,28 +87,39 @@ class FreeCDGA:
 
 
 def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
-    """Extend the generator differential to p by the graded Leibniz rule."""
-    names = unknown_names(p, model.generators)
-    if names:
-        raise UnknownGeneratorError(f"polynomial mentions unknown generators: {names}")
+    """Extend the generator differential to p by the graded Leibniz rule.
+
+    For the factor g^e of a monomial a*g^e*b and a term c*q of d(g), the
+    rule gives e*c*(-1)^s * rest*q, with rest = a*g^(e-1)*b and s the odd
+    factors of a plus odd(q) times the odd factors of b; rest*q comes from
+    one merge of the two canonical monomials, whose parity joins s.
+    """
+    leibniz = model._leibniz
     acc: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
-        prefix_degree = 0
-        for i, (g, e) in enumerate(mono.powers):
-            dg = model.differential.get(g)
-            if dg is not None:
-                # d(g^e) = e * g^(e-1) * dg, with the Koszul sign of moving
-                # d past the factors before position i.
-                scale = coeff * (-e if prefix_degree % 2 else e)
-                prefix = mono.powers[:i] + ((g, e - 1),)
-                suffix = mono.powers[i + 1 :]
-                for m, c in dg.terms.items():
-                    merged, sign = sort_with_sign(prefix + m.powers + suffix)
-                    if sign:
-                        term = scale * c
-                        acc[merged] = acc.get(merged, 0) + (term if sign > 0 else -term)
-            prefix_degree += g.degree * e
-    return Polynomial(acc)
+        powers = mono.powers
+        odd_total = sum(g.odd for g, _ in powers)
+        odd_before = 0
+        for i, (g, e) in enumerate(powers):
+            terms = leibniz.get(g)
+            if terms is None:
+                names = unknown_names(p, model.generators)
+                raise UnknownGeneratorError(f"polynomial mentions unknown generators: {names}")
+            if terms:
+                lowered = ((g, e - 1),) if e > 1 else ()
+                rest = powers[:i] + lowered + powers[i + 1 :]
+                odd_after = odd_total - odd_before - g.odd
+                for q, c, q_odd in terms:
+                    merged, parity = _times(rest, q)
+                    if merged is not None:
+                        m = Monomial._canonical(merged)
+                        term = coeff * (e * c)
+                        if (odd_before + q_odd * odd_after + parity) & 1:
+                            term = -term
+                        old = acc.get(m)
+                        acc[m] = term if old is None else old + term
+            odd_before += g.odd
+    return Polynomial._nonzero(acc)
 
 
 def validate(model: FreeCDGA) -> list[str]:

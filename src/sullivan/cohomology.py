@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check
-from sullivan.errors import DegreeMismatchError, NotACocycleError
+from sullivan.errors import DegreeMismatchError, NotACocycleError, UnknownGeneratorError
 from sullivan.gradedalg import (
     Generator,
     Monomial,
@@ -120,12 +120,17 @@ class Cohomology:
         return stage
 
     def to_vector(self, p: Polynomial, n: int) -> Vec:
-        stage = self._stage(n)
+        index = self._stage(n).index
         vec: Vec = {}
         for m, c in p.terms.items():
             if m.degree != n:
                 raise DegreeMismatchError(f"term {m} has degree {m.degree}, expected {n}")
-            vec[stage.index[m]] = c
+            # The basis holds every monomial of degree n in the model's generators.
+            i = index.get(m)
+            if i is None:
+                names = unknown_names(p, self.model.generators)
+                raise UnknownGeneratorError(f"polynomial mentions unknown generators: {names}")
+            vec[i] = c
         return vec
 
     def to_polynomial(self, vec: Vec, n: int) -> Polynomial:

@@ -7,9 +7,14 @@ exceeding exponent 1.  A polynomial is a sparse map from monomials to
 nonzero Fractions.  Reordering factors follows the Koszul rule: swapping
 two odd factors flips the sign, and the square of any odd factor is zero.
 
+Every product of two canonical monomials, in Polynomial.__mul__ and in the
+Leibniz rule, is one linear merge by sort key that counts the swaps of odd
+factors (_times); sort_with_sign puts an arbitrary word in order as a fold
+of that merge over its factors, so products have one normal form.
+
 Generators and monomials are immutable and store, once, what products read
 per term: the hash, and a generator's parity and sort key.  Only the public
-constructors validate; basis enumeration and sort_with_sign build monomials
+constructors validate; basis enumeration and the merge build monomials
 canonical by construction, unchecked.  Pickling rebuilds both through the
 public constructor, because str hashes differ between processes.
 
@@ -66,6 +71,9 @@ class Generator:
         return f"Generator({self.name!r}, {self.degree})"
 
 
+_Powers = tuple[tuple[Generator, int], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class Monomial:
     """A canonical product of generator powers; the empty product is 1."""
@@ -86,7 +94,7 @@ class Monomial:
         object.__setattr__(self, "_hash", hash((self.powers,)))
 
     @classmethod
-    def _canonical(cls, powers: tuple[tuple[Generator, int], ...]) -> "Monomial":
+    def _canonical(cls, powers: _Powers) -> "Monomial":
         """The monomial of powers that are canonical by construction, unchecked."""
         mono = object.__new__(cls)
         object.__setattr__(mono, "powers", powers)
@@ -130,26 +138,64 @@ class Monomial:
 UNIT = Monomial()
 
 
+def _times(p: _Powers, q: _Powers) -> tuple[Optional[_Powers], int]:
+    """The product of the canonical monomials with powers p and q.
+
+    Returns (powers, parity) with p*q = (-1)**parity times the canonical
+    monomial of powers, or (None, 0) when an odd generator occurs in both.
+    One merge by sort key; each odd factor of p adds the number of odd
+    factors of q merged before it, since each such pair is one swap of two
+    odd factors.
+    """
+    out = []
+    i = j = 0
+    parity = 0
+    q_odd = 0  # odd factors of q merged so far
+    len_p, len_q = len(p), len(q)
+    while i < len_p and j < len_q:
+        a, b = p[i], q[j]
+        g, h = a[0], b[0]
+        if g.sort_key < h.sort_key:
+            out.append(a)
+            i += 1
+            if g.odd:
+                parity += q_odd
+        elif h.sort_key < g.sort_key:
+            out.append(b)
+            j += 1
+            if h.odd:
+                q_odd += 1
+        elif g.odd:
+            return None, 0
+        else:
+            out.append((g, a[1] + b[1]))
+            i += 1
+            j += 1
+    if q_odd & 1:
+        parity += sum(g.odd for g, _ in p[i:])
+    return tuple(out) + p[i:] + q[j:], parity
+
+
 def sort_with_sign(word: Sequence[tuple[Generator, int]]) -> tuple[Optional[Monomial], int]:
     """Put a word of generator powers into canonical order.
 
     Returns (monomial, sign) where sign is +1 or -1, or (None, 0) when the
     word contains an odd generator twice and therefore collapses to zero.
+    The word is multiplied out one factor at a time by the merge _times.
     """
-    powers: dict[Generator, int] = {}
-    odd: list[Generator] = []
+    powers: _Powers = ()
+    parity = 0
     for g, e in word:
         if not e:
             continue
-        if g.odd:
-            if e > 1 or g in powers:
-                return None, 0
-            odd.append(g)
-        powers[g] = powers.get(g, 0) + e
-    # Each inversion among the odd factors is one swap that flips the sign.
-    inversions = sum(b < a for i, a in enumerate(odd) for b in odd[i + 1 :])
-    ordered = sorted(powers.items(), key=lambda p: p[0].sort_key)
-    return Monomial._canonical(tuple(ordered)), (-1) ** inversions
+        if g.odd and e > 1:
+            return None, 0
+        merged, swaps = _times(powers, ((g, e),))
+        if merged is None:
+            return None, 0
+        powers = merged
+        parity += swaps
+    return Monomial._canonical(powers), -1 if parity & 1 else 1
 
 
 class Polynomial:
@@ -165,6 +211,13 @@ class Polynomial:
                 if c:
                     clean[m] = c
         self.terms = clean
+
+    @classmethod
+    def _nonzero(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """The polynomial of Fraction-valued terms, zeros dropped, unchecked."""
+        poly = object.__new__(cls)
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -184,7 +237,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(m: Monomial, c: Scalar = 1) -> "Polynomial":
-        return Polynomial({m: Fraction(c)})
+        return Polynomial._nonzero({m: Fraction(c)})
 
     # -- structure ------------------------------------------------------
 
@@ -239,12 +292,13 @@ class Polynomial:
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                merged, sign = sort_with_sign(m1.powers + m2.powers)
-                if sign == 0:
-                    continue
-                assert merged is not None
-                acc[merged] = acc.get(merged, Fraction(0)) + c1 * c2 * sign
-        return Polynomial(acc)
+                powers, parity = _times(m1.powers, m2.powers)
+                if powers is not None:
+                    mono = Monomial._canonical(powers)
+                    c = -c1 * c2 if parity & 1 else c1 * c2
+                    old = acc.get(mono)
+                    acc[mono] = c if old is None else old + c
+        return Polynomial._nonzero(acc)
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

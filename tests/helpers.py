@@ -1,9 +1,10 @@
 """Shared reference implementations for the test suite.
 
 Everything in here is written the slow, obvious way on purpose.  The
-package computes ranks with a sparse row-echelon structure and enumerates
-monomial bases recursively; the tests cross-check those against dense
-Fraction elimination and brute-force exponent enumeration, so a bug would
+package computes ranks with a sparse row-echelon structure, enumerates
+monomial bases recursively and multiplies canonical monomials by a merge;
+the tests cross-check those against dense Fraction elimination, brute-force
+exponent enumeration and products ordered by adjacent swaps, so a bug would
 have to appear in two unrelated implementations to slip through.
 """
 
@@ -70,20 +71,30 @@ def bubble_sort_with_sign(word):
 
 def leibniz_d(model, monomial):
     """d of a monomial by the graded Leibniz rule on its single factors:
-    the sum over i of (-1)^(degree before i) * (product before i) * d(g_i)
-    * (product after i), with x^2*y read as the word x, x, y."""
-    factors = [g for g, e in monomial.powers for _ in range(e)]
-    total = Polynomial.zero()
-    for i, g in enumerate(factors):
-        before = sum(h.degree for h in factors[:i])
-        term = Polynomial.scalar(-1 if before % 2 else 1)
-        for h in factors[:i]:
-            term = term * Polynomial.gen(h)
-        term = term * model.d(g)
-        for h in factors[i + 1 :]:
-            term = term * Polynomial.gen(h)
-        total = total + term
-    return total
+    the sum over i of (-1)^(degree before i) times the word of the factors
+    before i, a term of d(g_i) and the factors after i, each word put in
+    order by bubble_sort_with_sign, with x^2*y read as the word x, x, y."""
+    factors = [(g, 1) for g, e in monomial.powers for _ in range(e)]
+    acc = {}
+    for i, (g, _) in enumerate(factors):
+        before = sum(h.degree for h, _ in factors[:i])
+        for m, c in model.d(g).terms.items():
+            mono, sign = bubble_sort_with_sign(factors[:i] + list(m.powers) + factors[i + 1 :])
+            if sign:
+                acc[mono] = acc.get(mono, 0) + (-sign if before % 2 else sign) * c
+    return Polynomial(acc)
+
+
+def product_by_bubble_sort(p, q):
+    """p * q, each word of a term of p followed by a term of q put in order
+    by bubble_sort_with_sign."""
+    acc = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono, sign = bubble_sort_with_sign(m1.powers + m2.powers)
+            if sign:
+                acc[mono] = acc.get(mono, 0) + sign * c1 * c2
+    return Polynomial(acc)
 
 
 def dense_rank(rows):
@@ -155,7 +166,7 @@ def quotient_dims_by_elimination(gens, relations, max_degree):
                 continue
             for m in brute_monomials(gens, n - r.degree()):
                 row = [Fraction(0)] * len(basis)
-                for mm, c in (Polynomial.monomial(m) * r).terms.items():
+                for mm, c in product_by_bubble_sort(Polynomial.monomial(m), r).terms.items():
                     row[index[mm]] = c
                 rows.append(row)
         out[n] = len(basis) - dense_rank(rows)

@@ -159,6 +159,16 @@ CASES = [
         ("ValueError", "not a CDGA: d(y3) is not homogeneous of degree 4: term x2 has degree 2"),
     ),
     (
+        "to_vector",
+        lambda: Cohomology(HP1).to_vector(Z4, 4),
+        ("UnknownGeneratorError", "polynomial mentions unknown generators: z4"),
+    ),
+    (
+        "classify",
+        lambda: Cohomology(HP1).classify(X4 * Z4 + W4 * X4, 8),
+        ("UnknownGeneratorError", "polynomial mentions unknown generators: w4, z4"),
+    ),
+    (
         "class_of-zero",
         lambda: class_of(HP1, Polynomial.zero()),
         ("DegreeMismatchError", "expected a nonzero homogeneous cocycle"),

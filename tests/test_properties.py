@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sullivan import cohomology
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, rename_generators
@@ -15,6 +15,7 @@ from sullivan.gradedalg import (
     Generator,
     Monomial,
     Polynomial,
+    _times,
     basis_of_degree,
     sort_with_sign,
     substitute,
@@ -28,6 +29,7 @@ from helpers import (
     bubble_sort_with_sign,
     dense_rank,
     leibniz_d,
+    product_by_bubble_sort,
     quotient_dims_by_elimination,
     random_pure_model,
     random_reducible_model,
@@ -210,6 +212,31 @@ def test_sort_with_sign_matches_a_bubble_sort(word):
     m, sign = sort_with_sign(word)
     assert (m, sign) == bubble_sort_with_sign(word)
     assert m is None or _as_if_public(m)
+
+
+X2, _, E3, F3, C5 = LEIBNIZ_POOL
+
+
+# The examples pin an odd factor of a merged between two of b, one merged
+# after b runs out, and an odd generator in both factors.
+@given(leibniz_monomials(), leibniz_monomials())
+@example(Monomial(((F3, 1),)), Monomial(((E3, 1), (C5, 1))))
+@example(Monomial(((E3, 1), (C5, 1))), Monomial(((X2, 2), (F3, 1))))
+@example(Monomial(((E3, 1),)), Monomial(((X2, 1), (E3, 1))))
+def test_times_matches_a_bubble_sort(a, b):
+    powers, parity = _times(a.powers, b.powers)
+    want = bubble_sort_with_sign(a.powers + b.powers)
+    if powers is None:
+        assert (None, parity) == want
+    else:
+        m = Monomial._canonical(powers)
+        assert (m, -1 if parity & 1 else 1) == want
+        assert _as_if_public(m)
+
+
+@given(polynomials(), polynomials())
+def test_products_match_a_bubble_sort(p, q):
+    assert p * q == product_by_bubble_sort(p, q)
 
 
 @given(monomials())
