@@ -6,7 +6,7 @@ linear algebra over monomial bases, and mechanizes the model constructions
 used for biquotients and projectivized quaternionic bundles.
 """
 
-from sullivan.gradedalg import Generator, Monomial, Polynomial, basis_of_degree, sort_with_sign, substitute
+from sullivan.gradedalg import Generator, Monomial, Polynomial, basis_of_degree, substitute
 from sullivan.cdga import (
     FreeCDGA,
     Morphism,

@@ -108,14 +108,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.log:
         print(log.render())
         print()
-    print(render_model(reduced, name=f"{doc.name}_reduced"))
+    sys.stdout.write(render_model(reduced, name=f"{doc.name}_reduced"))
     return 0
 
 
 def cmd_biquotient(args: argparse.Namespace) -> int:
     doc = parse_source(_read_text(args.config)).only("biquotient")
     model = biquotient_model(doc.to_classifying_data())
-    print(render_model(model, name=f"{doc.name}_model"))
+    sys.stdout.write(render_model(model, name=f"{doc.name}_model"))
     return 0
 
 
@@ -124,7 +124,7 @@ def cmd_projectivize(args: argparse.Namespace) -> int:
     check_bound(args.rank, "rank", least=1)
     data = parse_pontryagin(_read_text(args.pontryagin), base, args.rank)
     model = projectivize(data)
-    print(render_model(model, name=f"{doc.name}_pe"))
+    sys.stdout.write(render_model(model, name=f"{doc.name}_pe"))
     return 0
 
 

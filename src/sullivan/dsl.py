@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from sullivan.cdga import FreeCDGA, Morphism, compose_and_check, validate
 from sullivan.constructors import ClassifyingData, PontryaginData
-from sullivan.gradedalg import NAME_PATTERN, Generator, Polynomial, sort_with_sign
+from sullivan.gradedalg import NAME_PATTERN, Generator, Polynomial
 
 
 class DslError(Exception):
@@ -99,17 +99,16 @@ class RawExpr:
     terms: tuple[RawTerm, ...]
 
     def resolve(self, env: Mapping[str, Generator]) -> Polynomial:
+        """The sum of the terms in text order, each the product of its factors as written."""
         total = Polynomial.zero()
         for term in self.terms:
-            word = []
+            product = Polynomial.scalar(term.coefficient)
             for f in term.factors:
                 g = env.get(f.name)
                 if g is None:
                     raise DslError(f"unknown generator {f.name!r}", f.line, f.col)
-                word.append((g, f.exponent))
-            mono, sign = sort_with_sign(word)
-            if mono is not None:
-                total = total + Polynomial.monomial(mono, sign * term.coefficient)
+                product = product * Polynomial.gen(g) ** f.exponent
+            total = total + product
         return total
 
 
@@ -298,7 +297,7 @@ class MorphismDocument:
     line: int
     col: int
 
-    def to_morphism(self, models: Mapping[str, FreeCDGA], check: bool = True) -> Morphism:
+    def to_morphism(self, models: Mapping[str, FreeCDGA]) -> Morphism:
         if self.source_name not in models:
             raise DslError(f"unknown source model {self.source_name!r}", self.line, self.col)
         if self.target_name not in models:
@@ -312,16 +311,7 @@ class MorphismDocument:
             "unknown source generator {!r}",
             "image of {!r} assigned twice",
         )
-        morphism = Morphism(source, target, images)
-        if check:
-            violations = compose_and_check(morphism)
-            if violations:
-                raise DslError(
-                    f"morphism {self.name!r} is not a CDGA map: " + "; ".join(violations),
-                    self.line,
-                    self.col,
-                )
-        return morphism
+        return Morphism(source, target, images)
 
 
 @dataclass
@@ -513,10 +503,18 @@ def parse_model(text: str, name: Optional[str] = None) -> ModelDocument:
     return parse_source(text).only("model", name)
 
 
-def parse_morphism(text: str, check: bool = True) -> Morphism:
-    """The single morphism of a file, resolved against its model documents."""
+def parse_morphism(text: str) -> Morphism:
+    """The single morphism of a file, resolved against its model documents
+    and checked to be a CDGA map."""
     source = parse_source(text)
-    return source.only("morphism").to_morphism(source.resolved_models(), check=check)
+    doc = source.only("morphism")
+    morphism = doc.to_morphism(source.resolved_models())
+    violations = compose_and_check(morphism)
+    if violations:
+        raise DslError(
+            f"morphism {doc.name!r} is not a CDGA map: " + "; ".join(violations), doc.line, doc.col
+        )
+    return morphism
 
 
 def parse_classifying(text: str, name: Optional[str] = None) -> ClassifyingData:

@@ -9,8 +9,7 @@ two odd factors flips the sign, and the square of any odd factor is zero.
 
 Every product of two canonical monomials, in Polynomial.__mul__ and in the
 Leibniz rule, is one linear merge by sort key that counts the swaps of odd
-factors (_times); sort_with_sign puts an arbitrary word in order as a fold
-of that merge over its factors, so products have one normal form.
+factors (_times), so products have one normal form.
 
 Generators and monomials are immutable and store, once, what products read
 per term: the hash, and a generator's parity and sort key.  Only the public
@@ -26,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from sullivan.errors import (
     DegreeMismatchError,
@@ -174,28 +173,6 @@ def _times(p: _Powers, q: _Powers) -> tuple[Optional[_Powers], int]:
     if q_odd & 1:
         parity += sum(g.odd for g, _ in p[i:])
     return tuple(out) + p[i:] + q[j:], parity
-
-
-def sort_with_sign(word: Sequence[tuple[Generator, int]]) -> tuple[Optional[Monomial], int]:
-    """Put a word of generator powers into canonical order.
-
-    Returns (monomial, sign) where sign is +1 or -1, or (None, 0) when the
-    word contains an odd generator twice and therefore collapses to zero.
-    The word is multiplied out one factor at a time by the merge _times.
-    """
-    powers: _Powers = ()
-    parity = 0
-    for g, e in word:
-        if not e:
-            continue
-        if g.odd and e > 1:
-            return None, 0
-        merged, swaps = _times(powers, ((g, e),))
-        if merged is None:
-            return None, 0
-        powers = merged
-        parity += swaps
-    return Monomial._canonical(powers), -1 if parity & 1 else 1
 
 
 class Polynomial:

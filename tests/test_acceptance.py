@@ -27,7 +27,6 @@ from sullivan.dsl import (
     check_document,
     parse_classifying,
     parse_model,
-    parse_morphism,
     parse_pontryagin,
     parse_source,
     render_classifying,
@@ -242,7 +241,7 @@ def test_criterion_6_randomized_law_volume():
                 round_trips["biquotient"] += 1
             for name, doc in source.morphisms.items():
                 try:
-                    morphism = doc.to_morphism(source.resolved_models(), check=False)
+                    morphism = doc.to_morphism(source.resolved_models())
                 except DslError:
                     # discrepancy exhibits that name generators the target lacks
                     assert "verbatim" in filename
@@ -253,7 +252,8 @@ def test_criterion_6_randomized_law_volume():
                     source_name=doc.source_name,
                     target_name=doc.target_name,
                 )
-                again = parse_morphism(rendered, check=False)
+                again_source = parse_source(rendered)
+                again = again_source.only("morphism").to_morphism(again_source.resolved_models())
                 assert again.images == morphism.images
                 round_trips["morphism"] += 1
             for name, doc in source.pontryagin.items():

@@ -148,6 +148,20 @@ def test_quasi_iso_rejects_broken_chain_condition(tmp_path, capsys):
     assert "chain condition fails on xbar7" in err
 
 
+def test_quasi_iso_rejects_a_source_that_is_not_a_cdga(tmp_path, capsys):
+    # d(d(z4)) = x2^3, so the identity of A is not a map of CDGAs at all
+    text = (
+        "model A {\n  gen x2 : 2;\n  gen y3 : 3;\n  gen z4 : 4;\n  gen a5 : 5;\n"
+        "  d y3 = x2^2;\n  d z4 = x2*y3;\n}\n"
+        "morphism id : A -> A {\n  x2 -> x2;\n  y3 -> y3;\n  z4 -> z4;\n  a5 -> a5;\n}\n"
+    )
+    morphism = write(tmp_path, "id.morphism", text)
+    assert main(["quasi-iso", morphism, "--max-degree", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source is not a CDGA: d(d(z4)) = x2^3 is nonzero\n"
+
+
 def test_quotient_dims_command(tmp_path, capsys):
     relations = write(tmp_path, "rels.txt", "x4^2 + x4*y4 + y4^2\ny4^3;\n# done\n")
     code = main(

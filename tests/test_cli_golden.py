@@ -62,6 +62,12 @@ def test_every_case_has_golden_files():
     assert stems == set(CASES)
 
 
+def test_no_golden_stdout_ends_with_a_blank_line():
+    # a rendered document already ends in a newline, and is written as it is
+    blank_ended = [p.name for p in GOLDEN.glob("*.stdout") if p.read_bytes().endswith(b"\n\n")]
+    assert blank_ended == []
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path):
     assert run_cli(CASES[case], tmp_path) == golden(case)

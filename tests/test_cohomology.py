@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan import cohomology
-from sullivan.cdga import FreeCDGA, Morphism, apply_d, rename_generators
+from sullivan.cdga import FreeCDGA, Morphism, apply_d, identity_morphism, rename_generators
 from sullivan.cohomology import (
     Cohomology,
     RingPresentation,
@@ -16,7 +16,7 @@ from sullivan.cohomology import (
 )
 from sullivan.constructors import biquotient_model, bsp_model, hp_model, sphere_model
 from sullivan.dsl import parse_expression, parse_morphism
-from sullivan.errors import NotACocycleError, ResourceLimitError
+from sullivan.errors import DegreeMismatchError, NotACocycleError, ResourceLimitError
 from sullivan.gradedalg import Generator, Polynomial, basis_of_degree
 from sullivan.linalg import RowSpace
 from sullivan.presets import classifying_data, data_text
@@ -244,6 +244,28 @@ def test_is_quasi_iso_rejects_non_chain_maps():
     bad = Morphism(m, m, {gen_of(m, "x4"): Polynomial.gen(gen_of(m, "x4")), y11: Polynomial.zero()})
     with pytest.raises(ValueError, match="chain condition"):
         is_quasi_iso(bad, 12)
+
+
+def test_is_quasi_iso_rejects_models_that_are_not_cdgas():
+    # d(d(z4)) = x2^3, so the identity of this model is not a map of CDGAs
+    x2, y3, z4, a5 = (Generator(n, d) for n, d in (("x2", 2), ("y3", 3), ("z4", 4), ("a5", 5)))
+    X2 = Polynomial.gen(x2)
+    bad = FreeCDGA((x2, y3, z4, a5), {y3: X2 ** 2, z4: X2 * Polynomial.gen(y3)})
+    with pytest.raises(ValueError) as info:
+        is_quasi_iso(identity_morphism(bad), 6)
+    assert str(info.value) == "source is not a CDGA: d(d(z4)) = x2^3 is nonzero"
+
+
+def test_differential_shape_is_checked_when_the_cohomology_is_built():
+    # d(z7) = x2^3 has degree 6, not 8, and degree 7 is past the range asked
+    x2, y3, z7 = Generator("x2", 2), Generator("y3", 3), Generator("z7", 7)
+    X2 = Polynomial.gen(x2)
+    model = FreeCDGA((x2, y3, z7), {y3: X2 ** 2, z7: X2 ** 3})
+    want = "term x2^3 of d(z7) is not a monomial of degree 8 in the model's generators"
+    for build in (lambda: betti(model, 4), lambda: Cohomology(model)):
+        with pytest.raises(DegreeMismatchError) as info:
+            build()
+        assert str(info.value) == want
 
 
 def test_max_basis_cap_env_override(monkeypatch):

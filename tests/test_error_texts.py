@@ -1,8 +1,9 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
 unknown generators, repeated names, non-cocycles, the names that leave
 their algebra, the certificate of a reduction step, a characteristic
-class past a bundle's rank, a malformed model handed to cohomology or to
-the reduction, and a cohomology handed in with another model.
+class past a bundle's rank, a malformed model handed to cohomology, to
+the reduction or to the quasi-isomorphism check, and a cohomology handed in
+with another model.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -10,8 +11,23 @@ checkers that return violations instead of raising, those joined by "; ".
 
 import pytest
 
-from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, compose_and_check, validate
-from sullivan.cohomology import Cohomology, RingPresentation, betti, class_of, cup_product
+from sullivan.cdga import (
+    FreeCDGA,
+    Morphism,
+    apply_d,
+    change_of_variable,
+    compose_and_check,
+    identity_morphism,
+    validate,
+)
+from sullivan.cohomology import (
+    Cohomology,
+    RingPresentation,
+    betti,
+    class_of,
+    cup_product,
+    is_quasi_iso,
+)
 from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
 from sullivan.gradedalg import Generator, Polynomial
 from sullivan.reduction import Cancellation, _certified, reduce
@@ -157,6 +173,16 @@ CASES = [
         "reduce-inhomogeneous",
         lambda: reduce(INHOMOGENEOUS),
         ("ValueError", "not a CDGA: d(y3) is not homogeneous of degree 4: term x2 has degree 2"),
+    ),
+    (
+        "is_quasi_iso-source-not-a-cdga",
+        lambda: is_quasi_iso(identity_morphism(D_SQUARED_NONZERO), 8),
+        ("ValueError", "source is not a CDGA: d(d(c4)) = a2^3 is nonzero"),
+    ),
+    (
+        "is_quasi_iso-target-not-a-cdga",
+        lambda: is_quasi_iso(Morphism(FreeCDGA((a2,)), D_SQUARED_NONZERO, {a2: A2}), 8),
+        ("ValueError", "target is not a CDGA: d(d(c4)) = a2^3 is nonzero"),
     ),
     (
         "to_vector",

@@ -10,6 +10,7 @@ import pytest
 
 import sullivan
 from sullivan.constructors import biquotient_model
+from sullivan.dsl import parse_expression
 from sullivan.errors import ParityMismatchError, ResourceLimitError
 from sullivan.gradedalg import (
     UNIT,
@@ -17,7 +18,6 @@ from sullivan.gradedalg import (
     Monomial,
     Polynomial,
     basis_of_degree,
-    sort_with_sign,
     substitute,
 )
 from sullivan.presets import classifying_data
@@ -127,23 +127,22 @@ def test_monomial_str_forms():
     assert str(Monomial(((x4, 2), (y4, 1)))) == "x4^2*y4"
 
 
-def test_sort_with_sign_swapping_odd_generators():
-    m, sign = sort_with_sign([(b3, 1), (a3, 1)])
-    assert m == Monomial(((a3, 1), (b3, 1)))
-    assert sign == -1
-    m, sign = sort_with_sign([(a3, 1), (b3, 1)])
-    assert sign == 1
+WRITTEN = {g.name: g for g in (x4, y4, a3, b3)}
 
 
-def test_sort_with_sign_odd_squares_vanish():
-    m, sign = sort_with_sign([(a3, 1), (x4, 1), (a3, 1)])
-    assert m is None and sign == 0
+def test_written_odd_generators_swap_with_a_sign():
+    ab = Monomial(((a3, 1), (b3, 1)))
+    assert parse_expression("b3*a3", WRITTEN) == Polynomial.monomial(ab, -1)
+    assert parse_expression("a3*b3", WRITTEN) == Polynomial.monomial(ab)
 
 
-def test_sort_with_sign_even_factors_commute_freely():
-    m, sign = sort_with_sign([(y4, 1), (a3, 1), (x4, 2)])
-    assert sign == 1
-    assert m == Monomial(((a3, 1), (x4, 2), (y4, 1)))
+def test_written_odd_squares_vanish():
+    assert parse_expression("a3*x4*a3", WRITTEN).is_zero()
+
+
+def test_written_even_factors_commute_freely():
+    want = Polynomial.monomial(Monomial(((a3, 1), (x4, 2), (y4, 1))))
+    assert parse_expression("y4*a3*x4^2", WRITTEN) == want
 
 
 def test_odd_generator_squares_to_zero_in_products():

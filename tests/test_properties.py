@@ -10,14 +10,13 @@ from sullivan import cohomology
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, rename_generators
 from sullivan.cohomology import Cohomology, RingPresentation, betti, class_of, quotient_ring_dims
 from sullivan.constructors import biquotient_model
-from sullivan.dsl import parse_model, render_model
+from sullivan.dsl import parse_expression, parse_model, render_model
 from sullivan.gradedalg import (
     Generator,
     Monomial,
     Polynomial,
     _times,
     basis_of_degree,
-    sort_with_sign,
     substitute,
 )
 from sullivan.linalg import RowSpace, Vec
@@ -186,32 +185,42 @@ def test_apply_d_matches_the_leibniz_rule_on_single_factors(model, terms):
     assert apply_d(model, Polynomial(terms)) == want
 
 
-@given(st.permutations(list(POOL)))
-def test_sort_with_sign_normalizes_any_word(order):
-    word = [(g, 1) for g in order]
-    m, sign = sort_with_sign(word)
-    assert sign in (-1, 1)
-    assert m == Monomial(tuple((g, 1) for g in POOL))
-    # sorting a canonical word is the identity
-    again, sign2 = sort_with_sign(list(m.powers))
-    assert again == m and sign2 == 1
-
-
-words = st.lists(st.tuples(st.sampled_from(POOL), st.integers(min_value=0, max_value=2)), max_size=6)
-
-
 def _as_if_public(m):
     """m equals and hashes like the monomial the validating constructor builds."""
     public = Monomial(m.powers)
     return m == public and hash(m) == hash(public)
 
 
+def _parse_word(word):
+    """The DSL term that writes word as g^e*..., parsed, and the oracle's
+    reading of the same word."""
+    text = "*".join(f"{g.name}^{e}" for g, e in word) or "1"
+    mono, sign = bubble_sort_with_sign(word)
+    want = Polynomial.zero() if mono is None else Polynomial.monomial(mono, sign)
+    return parse_expression(text, {g.name: g for g in POOL}), want
+
+
+@given(st.permutations(list(POOL)))
+def test_written_permutations_match_a_bubble_sort(order):
+    got, want = _parse_word([(g, 1) for g in order])
+    assert got == want
+    assert list(got.terms) == [Monomial(tuple((g, 1) for g in POOL))]
+
+
+words = st.lists(st.tuples(st.sampled_from(POOL), st.integers(min_value=1, max_value=2)), max_size=6)
+
+
+# The examples pin b3*a3, an odd factor written after a later one, and
+# c5*x2^2*a3, where the odd c5 of the product so far is still unmerged after
+# the new factor a3.
 @given(words)
-def test_sort_with_sign_matches_a_bubble_sort(word):
-    # repeats, zero exponents and odd squares included
-    m, sign = sort_with_sign(word)
-    assert (m, sign) == bubble_sort_with_sign(word)
-    assert m is None or _as_if_public(m)
+@example([(ODDS[1], 1), (ODDS[0], 1)])
+@example([(ODDS[2], 1), (EVENS[0], 2), (ODDS[0], 1)])
+def test_written_words_match_a_bubble_sort(word):
+    # repeats and odd squares included
+    got, want = _parse_word(word)
+    assert got == want
+    assert all(_as_if_public(m) for m in got.terms)
 
 
 X2, _, E3, F3, C5 = LEIBNIZ_POOL
