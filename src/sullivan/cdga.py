@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from sullivan.errors import (
     DegreeMismatchError,
@@ -124,29 +124,29 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
 
 def validate(model: FreeCDGA) -> list[str]:
     """All violations of the CDGA axioms, empty when the model is valid."""
-    violations: list[str] = []
+    return [text for _, text in _violations(model)]
+
+
+def _violations(model: FreeCDGA) -> Iterator[tuple[Generator, str]]:
+    """validate's violations, each with the generator whose d breaks the axioms."""
     clean: list[Generator] = []
     for g in model.generators:
         dg = model.d(g)
-        ok = True
         names = unknown_names(dg, model.generators)
         if names:
-            violations.append(f"d({g.name}) mentions unknown generators: {names}")
-            ok = False
-        for mono in dg.terms:
-            if mono.degree != g.degree + 1:
-                violations.append(
-                    f"d({g.name}) is not homogeneous of degree {g.degree + 1}: "
-                    f"term {mono} has degree {mono.degree}"
-                )
-                ok = False
-        if ok:
+            yield g, f"d({g.name}) mentions unknown generators: {names}"
+        inhomogeneous = [mono for mono in dg.terms if mono.degree != g.degree + 1]
+        for mono in inhomogeneous:
+            yield g, (
+                f"d({g.name}) is not homogeneous of degree {g.degree + 1}: "
+                f"term {mono} has degree {mono.degree}"
+            )
+        if not names and not inhomogeneous:
             clean.append(g)
     for g in clean:
         dd = apply_d(model, model.d(g))
         if not dd.is_zero():
-            violations.append(f"d(d({g.name})) = {dd} is nonzero")
-    return violations
+            yield g, f"d(d({g.name})) = {dd} is nonzero"
 
 
 def checked(model: FreeCDGA, producer: str) -> FreeCDGA:

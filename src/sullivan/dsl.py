@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from sullivan.cdga import FreeCDGA, Morphism, compose_and_check, validate
+from sullivan.cdga import FreeCDGA, Morphism, _violations, compose_and_check
 from sullivan.constructors import ClassifyingData, PontryaginData
 from sullivan.gradedalg import NAME_PATTERN, Generator, Polynomial
 
@@ -539,19 +539,15 @@ def parse_expression(text: str, gens: Mapping[str, Generator]) -> Polynomial:
 def check_document(doc: ModelDocument) -> list[str]:
     """Validation diagnostics for a model document, tagged with positions.
 
-    Differential violations are mapped back to the assignment that caused
-    them so the offending line is part of the message.
+    Each violation names a generator with a nonzero differential and is
+    placed at that generator's d declaration, so the offending line is part
+    of the message.
     """
-    model = doc.to_model()
     decls = {decl.gen_name: decl for decl in doc.diffs}
-    out = []
-    for violation in validate(model):
-        hit = re.search(rf"\(({NAME_PATTERN})\)", violation)
-        decl = decls.get(hit.group(1)) if hit else None
-        if decl:
-            violation = str(DslError(violation, decl.line, decl.col))
-        out.append(violation)
-    return out
+    return [
+        str(DslError(violation, decls[g.name].line, decls[g.name].col))
+        for g, violation in _violations(doc.to_model())
+    ]
 
 
 def render_model(model: FreeCDGA, name: str = "M") -> str:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from sullivan.cdga import FreeCDGA, Morphism, compose_and_check, rename_generators, validate
+from sullivan.cdga import FreeCDGA, Morphism, rename_generators, validate
 from sullivan.cohomology import RingPresentation, betti, is_quasi_iso, quotient_ring_dims
 from sullivan.constructors import biquotient_model, hp_model, projectivize, sphere_model
 from sullivan.constructors import PontryaginData
@@ -136,18 +136,18 @@ def _reduction_check(
 
 def _quasi_iso_check(f: Morphism, max_degree: int, correction: str) -> CheckResult:
     """f is a chain map and a quasi-isomorphism up to max_degree."""
-    violations = compose_and_check(f)
-    qi = is_quasi_iso(f, max_degree) if not violations else None
-    if qi is not None and qi.ok:
+    try:
+        qi = is_quasi_iso(f, max_degree)
+    except ValueError as e:
+        return _check("quasi-iso", False, str(e))
+    if qi.ok:
         return _check(
             "quasi-iso",
             True,
             f"quasi-isomorphism up to degree {max_degree} with the sign "
             f"correction recorded in {correction}",
         )
-    return _check(
-        "quasi-iso", False, "; ".join(violations) or f"failing degrees {qi.failing_degrees()}"
-    )
+    return _check("quasi-iso", False, f"failing degrees {qi.failing_degrees()}")
 
 
 def _evidence_check(case: str) -> CheckResult:
@@ -180,155 +180,119 @@ def _evidence_check(case: str) -> CheckResult:
 # -- thm34 ----------------------------------------------------------------
 
 
-def _thm34_report(_: None) -> CaseReport:
-    checks = []
+def _thm34_checks(_: None) -> Iterator[CheckResult]:
     pe_betti = {0: 1, 4: 2, 8: 2, 12: 1}
 
     pe = projectivize(pontryagin_setup("thm34"))
-    checks.append(
-        _expect_equal(
-            "pe-model",
-            _diff_summary(pe),
-            {"x7": "x4^2 + x4*y4 + y4^2", "y11": "y4^3"},
-        )
+    yield _expect_equal(
+        "pe-model",
+        _diff_summary(pe),
+        {"x7": "x4^2 + x4*y4 + y4^2", "y11": "y4^3"},
     )
-    checks.append(_expect_equal("pe-betti", _betti_dict(pe, 16), pe_betti))
+    yield _expect_equal("pe-betti", _betti_dict(pe, 16), pe_betti)
 
     x4, y4 = Generator("x4", 4), Generator("y4", 4)
     px, py = Polynomial.gen(x4), Polynomial.gen(y4)
     pres = RingPresentation((x4, y4), (px**2 + px * py + py**2, py**3))
     dims = quotient_ring_dims(pres, 16)
-    checks.append(
-        _expect_equal(
-            "presentation-dims", {n: d for n, d in dims.items() if d}, pe_betti
-        )
+    yield _expect_equal(
+        "presentation-dims", {n: d for n, d in dims.items() if d}, pe_betti
     )
 
     biq = biquotient_model(classifying_data("thm34"))
-    checks.append(
-        _expect_equal(
-            "biquotient-model",
-            _diff_summary(biq),
-            {"v3": "a4 - 3*b4 + c4", "v7": "a4*c4 - 3*b4^2", "v11": "-b4^3"},
-        )
+    yield _expect_equal(
+        "biquotient-model",
+        _diff_summary(biq),
+        {"v3": "a4 - 3*b4 + c4", "v7": "a4*c4 - 3*b4^2", "v11": "-b4^3"},
     )
     reduced, log = reduce_model(biq)
-    checks.append(_expect_equal("biquotient-betti", _input_betti(log, 16), pe_betti))
-    checks.append(
-        _reduction_check("reduction", reduced, log, *THM34_REDUCED, steps=1)
+    yield _expect_equal("biquotient-betti", _input_betti(log, 16), pe_betti)
+    yield _reduction_check("reduction", reduced, log, *THM34_REDUCED, steps=1)
+    yield _quasi_iso_check(
+        comparison_morphism("thm34"),
+        16,
+        "f-chain-sign (images v7 -> -x7, a4 -> x4 - y4, b4 -> -y4)",
     )
-    checks.append(
-        _quasi_iso_check(
-            comparison_morphism("thm34"),
-            16,
-            "f-chain-sign (images v7 -> -x7, a4 -> x4 - y4, b4 -> -y4)",
-        )
-    )
-    checks.append(_evidence_check("thm34"))
-    return CaseReport("thm34", None, tuple(checks), discrepancies("thm34"))
 
 
 # -- thm33 ----------------------------------------------------------------
 
 
-def _thm33_report(n: int) -> CaseReport:
-    checks = []
+def _thm33_checks(n: int) -> Iterator[CheckResult]:
     top = 8 * n - 4
     max_degree = max(16, top)
     expected = {4 * i: 1 for i in range(0, 2 * n)}
 
     pe = projectivize(pontryagin_setup("thm33", n))
     pe_reduced, pe_log = reduce_model(pe, check_degree=max_degree)
-    checks.append(
-        _reduction_check(
-            "pe-reduction",
-            pe_reduced,
-            pe_log,
-            ("x4", f"a{8 * n - 1}"),
-            {f"a{8 * n - 1}": f"x4^{2 * n}"},
-        )
+    yield _reduction_check(
+        "pe-reduction",
+        pe_reduced,
+        pe_log,
+        ("x4", f"a{8 * n - 1}"),
+        {f"a{8 * n - 1}": f"x4^{2 * n}"},
     )
-    checks.append(_expect_equal("pe-betti", _input_betti(pe_log, max_degree), expected))
+    yield _expect_equal("pe-betti", _input_betti(pe_log, max_degree), expected)
 
     biq = biquotient_model(classifying_data("thm33", n))
     biq_reduced, biq_log = reduce_model(biq, check_degree=max_degree)
-    checks.append(
-        _reduction_check(
-            "biquotient-reduction",
-            biq_reduced,
-            biq_log,
-            ("b4", f"v{8 * n - 1}"),
-            {f"v{8 * n - 1}": f"-b4^{2 * n}"},
-        )
+    yield _reduction_check(
+        "biquotient-reduction",
+        biq_reduced,
+        biq_log,
+        ("b4", f"v{8 * n - 1}"),
+        {f"v{8 * n - 1}": f"-b4^{2 * n}"},
     )
-    checks.append(
-        _expect_equal("biquotient-betti", _input_betti(biq_log, max_degree), expected)
+    yield _expect_equal("biquotient-betti", _input_betti(biq_log, max_degree), expected)
+    yield _quasi_iso_check(
+        comparison_morphism("thm33", n),
+        max_degree,
+        f"eta-image (v{8 * n - 1} -> -a{8 * n - 1})",
     )
-    checks.append(
-        _quasi_iso_check(
-            comparison_morphism("thm33", n),
-            max_degree,
-            f"eta-image (v{8 * n - 1} -> -a{8 * n - 1})",
-        )
-    )
-    checks.append(_evidence_check("thm33"))
-    return CaseReport("thm33", n, tuple(checks), discrepancies("thm33"))
 
 
 # -- prop31 ---------------------------------------------------------------
 
 
-def _prop31_report(n: int) -> CaseReport:
-    checks = []
+def _prop31_checks(n: int) -> Iterator[CheckResult]:
     biq = biquotient_model(classifying_data("prop31", n))
     expected_diffs = {"b3": "-a4 + v4", "z3": "-a4 + v4"}
     expected_diffs.update({f"z{4 * i - 1}": f"v{4 * i}" for i in range(2, n)})
-    checks.append(
-        _expect_equal("biquotient-model", _diff_summary(biq), expected_diffs)
-    )
+    yield _expect_equal("biquotient-model", _diff_summary(biq), expected_diffs)
     reduced, log = reduce_model(biq)
-    checks.append(
-        _expect_equal(
-            "biquotient-betti",
-            _input_betti(log, 8),
-            {0: 1, 3: 1, 4: 1, 7: 1, 8: 1},
-        )
+    yield _expect_equal(
+        "biquotient-betti",
+        _input_betti(log, 8),
+        {0: 1, 3: 1, 4: 1, 7: 1, 8: 1},
     )
-    checks.append(_reduction_check("reduction", reduced, log, ("z3", "a4"), {}))
+    yield _reduction_check("reduction", reduced, log, ("z3", "a4"), {})
 
     final_betti = _betti_dict(reduced, 8)
     conflict_recorded = any(d.key == "contractibility" for d in discrepancies("prop31"))
     nontrivial = final_betti.get(3) == 1 and final_betti.get(4) == 1
-    checks.append(
-        _check(
-            "contractibility-conflict",
-            nontrivial and conflict_recorded,
-            "final model has betti(3) = betti(4) = 1, so it is not "
-            "contractible; the conflicting recorded conclusion is documented "
-            "as discrepancy 'contractibility'",
-        )
+    yield _check(
+        "contractibility-conflict",
+        nontrivial and conflict_recorded,
+        "final model has betti(3) = betti(4) = 1, so it is not "
+        "contractible; the conflicting recorded conclusion is documented "
+        "as discrepancy 'contractibility'",
     )
-    checks.append(_evidence_check("prop31"))
-    return CaseReport("prop31", n, tuple(checks), discrepancies("prop31"))
 
 
 # -- prop32 ---------------------------------------------------------------
 
 
-def _prop32_report(n: int) -> CaseReport:
-    checks = []
+def _prop32_checks(n: int) -> Iterator[CheckResult]:
     biq = biquotient_model(classifying_data("prop32", n))
     reduced, log = reduce_model(biq)
     # with the default top coefficient beta = C(n+1, n+1) = 1
-    checks.append(
-        _reduction_check(
-            "reduction",
-            reduced,
-            log,
-            ("b4", "c4", f"a{4 * n - 1}", f"a{4 * n + 3}"),
-            {f"a{4 * n - 1}": None, f"a{4 * n + 3}": f"-c4^{n + 1}"},
-            steps=n - 1,
-        )
+    yield _reduction_check(
+        "reduction",
+        reduced,
+        log,
+        ("b4", "c4", f"a{4 * n - 1}", f"a{4 * n + 3}"),
+        {f"a{4 * n - 1}": None, f"a{4 * n + 3}": f"-c4^{n + 1}"},
+        steps=n - 1,
     )
 
     if n == 2:
@@ -340,15 +304,13 @@ def _prop32_report(n: int) -> CaseReport:
         }
         renamed = rename_generators(reduced, mapping)
         got = (_gen_names(renamed), _diff_summary(renamed))
-        checks.append(
-            _check(
-                "matches-thm34",
-                got == THM34_REDUCED,
-                "renaming b4 -> a4, c4 -> b4, a7 -> v7, a11 -> v11 "
-                + ("reproduces the thm34 reduced model exactly"
-                   if got == THM34_REDUCED
-                   else f"gives {got}, expected {THM34_REDUCED}"),
-            )
+        yield _check(
+            "matches-thm34",
+            got == THM34_REDUCED,
+            "renaming b4 -> a4, c4 -> b4, a7 -> v7, a11 -> v11 "
+            + ("reproduces the thm34 reduced model exactly"
+               if got == THM34_REDUCED
+               else f"gives {got}, expected {THM34_REDUCED}"),
         )
         pres_dims = {
             k: v
@@ -363,16 +325,10 @@ def _prop32_report(n: int) -> CaseReport:
             ).items()
             if v
         }
-        checks.append(
-            _expect_equal("presentation-dims", pres_dims, {0: 1, 4: 2, 8: 2, 12: 1})
+        yield _expect_equal("presentation-dims", pres_dims, {0: 1, 4: 2, 8: 2, 12: 1})
+        yield _expect_equal(
+            "biquotient-betti", _input_betti(log, 16), {0: 1, 4: 2, 8: 2, 12: 1}
         )
-        checks.append(
-            _expect_equal(
-                "biquotient-betti", _input_betti(log, 16), {0: 1, 4: 2, 8: 2, 12: 1}
-            )
-        )
-    checks.append(_evidence_check("prop32"))
-    return CaseReport("prop32", n, tuple(checks), discrepancies("prop32"))
 
 
 # -- dimension law --------------------------------------------------------
@@ -404,8 +360,10 @@ def _lh_pontryagin_choices(base: FreeCDGA, rank: int) -> list[tuple[str, tuple[P
     return [("zero", zero), ("plain", plain), ("mixed", mixed)]
 
 
-def run_dimension_law(max_degree: int = 24) -> CaseReport:
-    """Total Betti dimension of a projectivization is rank times the base's."""
+def run_dimension_law() -> CaseReport:
+    """Total Betti dimension of a projectivization is rank times the base's,
+    up to degree 24."""
+    max_degree = 24
     bases = [
         ("hp1", hp_model(1)),
         ("hp2", hp_model(2, prefix="y")),
@@ -434,18 +392,20 @@ def run_dimension_law(max_degree: int = 24) -> CaseReport:
 # -- entry points ----------------------------------------------------------
 
 
-_REPORTS = {
-    "thm34": _thm34_report,
-    "thm33": _thm33_report,
-    "prop31": _prop31_report,
-    "prop32": _prop32_report,
+_CHECKS = {
+    "thm34": _thm34_checks,
+    "thm33": _thm33_checks,
+    "prop31": _prop31_checks,
+    "prop32": _prop32_checks,
 }
 
 
 def run_case(case: str, n: Optional[int] = None) -> CaseReport:
-    """Run every check of one case; n defaults per case."""
+    """Run every check of one case, then append the check of its recorded
+    discrepancies' evidence files; n defaults per case."""
     n = resolve_n(case, n)
-    return _REPORTS[case](n)
+    checks = (*_CHECKS[case](n), _evidence_check(case))
+    return CaseReport(case, n, checks, discrepancies(case))
 
 
 def run_all() -> tuple[CaseReport, ...]:
@@ -480,8 +440,8 @@ def render_report(report: CaseReport) -> str:
     return "\n".join(lines)
 
 
-def render_reports(reports: tuple[CaseReport, ...], suffix: str = "") -> str:
-    """Reports separated by blank lines, then a pass count ending in suffix."""
+def render_reports(reports: tuple[CaseReport, ...]) -> str:
+    """Reports separated by blank lines, then a pass count."""
     passed = sum(1 for r in reports if r.ok)
     body = "\n\n".join(render_report(r) for r in reports)
-    return f"{body}\n\n{passed} of {len(reports)} case reports passed{suffix}"
+    return f"{body}\n\n{passed} of {len(reports)} case reports passed"

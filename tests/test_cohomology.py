@@ -29,6 +29,16 @@ def gen_of(model, name):
     return next(g for g in model.generators if g.name == name)
 
 
+def _d_squared_nonzero() -> FreeCDGA:
+    """x2, y3, z4, a5 with d(y3) = x2^2 and d(z4) = x2*y3, so d(d(z4)) = x2^3."""
+    x2, y3, z4, a5 = (Generator(n, d) for n, d in (("x2", 2), ("y3", 3), ("z4", 4), ("a5", 5)))
+    X2 = Polynomial.gen(x2)
+    return FreeCDGA((x2, y3, z4, a5), {y3: X2 ** 2, z4: X2 * Polynomial.gen(y3)})
+
+
+D_SQUARED_NONZERO = _d_squared_nonzero()
+
+
 def test_sphere_betti():
     assert betti(sphere_model(4), 12).nonzero() == {0: 1, 4: 1}
     assert betti(sphere_model(8), 20).nonzero() == {0: 1, 8: 1}
@@ -199,8 +209,9 @@ def test_ring_presentation_validates_input():
             "max_degree must be >= 0, got -2",
         ),
         (lambda: reduce(hp_model(2), check_degree=-5), "check_degree must be >= 0, got -5"),
+        (lambda: Cohomology(hp_model(2)).betti(-1), "degree must be >= 0, got -1"),
     ],
-    ids=["betti", "is_quasi_iso", "quotient_ring_dims", "reduce"],
+    ids=["betti", "is_quasi_iso", "quotient_ring_dims", "reduce", "Cohomology.betti"],
 )
 def test_negative_degree_bounds_are_rejected(call, message):
     with pytest.raises(ValueError) as info:
@@ -247,13 +258,24 @@ def test_is_quasi_iso_rejects_non_chain_maps():
 
 
 def test_is_quasi_iso_rejects_models_that_are_not_cdgas():
-    # d(d(z4)) = x2^3, so the identity of this model is not a map of CDGAs
-    x2, y3, z4, a5 = (Generator(n, d) for n, d in (("x2", 2), ("y3", 3), ("z4", 4), ("a5", 5)))
-    X2 = Polynomial.gen(x2)
-    bad = FreeCDGA((x2, y3, z4, a5), {y3: X2 ** 2, z4: X2 * Polynomial.gen(y3)})
+    # the identity of a model with d∘d != 0 is not a map of CDGAs
     with pytest.raises(ValueError) as info:
-        is_quasi_iso(identity_morphism(bad), 6)
+        is_quasi_iso(identity_morphism(D_SQUARED_NONZERO), 6)
     assert str(info.value) == "source is not a CDGA: d(d(z4)) = x2^3 is nonzero"
+
+
+def test_betti_and_class_of_check_d_squared_in_each_degree():
+    # no Betti number of this model comes out negative, so only the d∘d
+    # check of the degree-5 stage can catch it
+    assert betti(D_SQUARED_NONZERO, 4).nonzero() == {0: 1, 2: 1}
+    x2_to_the_4 = Polynomial.gen(gen_of(D_SQUARED_NONZERO, "x2")) ** 4
+    for run in (
+        lambda: betti(D_SQUARED_NONZERO, 6),
+        lambda: class_of(D_SQUARED_NONZERO, x2_to_the_4),
+    ):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == "not a CDGA: d(d(z4)) = x2^3 is nonzero"
 
 
 def test_differential_shape_is_checked_when_the_cohomology_is_built():

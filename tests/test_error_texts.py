@@ -162,7 +162,7 @@ CASES = [
     (
         "betti-d-squared-nonzero",
         lambda: betti(D_SQUARED_NONZERO, 8),
-        ("ValueError", "not a CDGA: b_5 = -1 is negative, so d(d) is not zero"),
+        ("ValueError", "not a CDGA: d(d(c4)) = a2^3 is nonzero"),
     ),
     (
         "reduce-d-squared-nonzero",

@@ -2,7 +2,8 @@ import pytest
 
 from sullivan import verify
 from sullivan.constructors import biquotient_model
-from sullivan.presets import DESCRIPTIONS, classifying_data, data_files
+from sullivan.dsl import parse_source
+from sullivan.presets import DESCRIPTIONS, classifying_data, data_files, data_text
 from sullivan.verify import (
     SHIPPED_INSTANCES,
     render_report,
@@ -87,3 +88,13 @@ def test_run_all_reduces_the_thm34_model_once(monkeypatch):
     monkeypatch.setattr(verify, "reduce_model", counting)
     assert all(report.ok for report in run_all())
     assert reduced.count(thm34) == 1
+
+
+def test_quasi_iso_check_fails_on_a_map_that_is_not_a_chain_map():
+    # resolved without parse_morphism, so no parse-time chain check runs
+    source = parse_source(data_text("thm34_f_verbatim.morphism"))
+    f = source.only("morphism").to_morphism(source.resolved_models())
+    check = verify._quasi_iso_check(f, 16, "nothing")
+    assert check.name == "quasi-iso"
+    assert not check.ok
+    assert "chain condition fails on xbar7" in check.detail
