@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sullivan import cohomology
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, rename_generators
 from sullivan.cohomology import Cohomology, RingPresentation, betti, class_of, quotient_ring_dims
-from sullivan.constructors import biquotient_model
+from sullivan.constructors import biquotient_model, projectivize
 from sullivan.dsl import parse_expression, parse_model, render_model
 from sullivan.gradedalg import (
     Generator,
@@ -20,7 +20,7 @@ from sullivan.gradedalg import (
     substitute,
 )
 from sullivan.linalg import RowSpace, Vec
-from sullivan.presets import classifying_data
+from sullivan.presets import classifying_data, pontryagin_setup
 from sullivan.reduction import reduce, replay
 
 from helpers import (
@@ -536,3 +536,40 @@ def test_quotient_ring_dims_match_dense_elimination(max_degree, data):
         dims = quotient_ring_dims(pres, max_degree)
     assert dims == quotient_dims_by_elimination(EVENS, relations, max_degree)
     assert len(calls) == max_degree + 1
+
+
+# The degree range of the law below, kept low so that the oracle's dense
+# ranks stay cheap at the 1000 examples of the ci profile.
+QUOTIENT_DEGREE = 10
+
+
+def _h0(model):
+    """H_0 of a pure model: its even generators modulo d of the odd ones."""
+    return RingPresentation(
+        model.even_generators(), tuple(model.d(g) for g in model.odd_generators())
+    )
+
+
+@st.composite
+def presentations(draw):
+    """2-4 even generators of degrees 2-6 and 1-4 homogeneous relations,
+    zero ones included; most quotients are not finite-dimensional."""
+    degrees = draw(st.lists(st.sampled_from((2, 4, 6)), min_size=2, max_size=4))
+    gens = tuple(Generator(f"g{i}", d) for i, d in enumerate(degrees))
+    relations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        pool = basis_of_degree(gens, draw(st.sampled_from(range(2, QUOTIENT_DEGREE + 1, 2))))
+        picked = []
+        if pool and draw(st.integers(min_value=0, max_value=3)) < 3:  # else a zero relation
+            picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        relations.append(Polynomial({m: draw(coefficients) for m in picked}))
+    return RingPresentation(gens, tuple(relations))
+
+
+@given(presentations())
+@example(_h0(projectivize(pontryagin_setup("thm34"))))  # finite: 1, 2, 2, 1
+@example(_h0(biquotient_model(classifying_data("prop31", 3))))  # Q[a4], infinite
+@settings(deadline=None)
+def test_quotient_ring_dims_match_the_oracle_on_random_presentations(pres):
+    want = quotient_dims_by_elimination(pres.generators, pres.relations, QUOTIENT_DEGREE)
+    assert quotient_ring_dims(pres, QUOTIENT_DEGREE) == want

@@ -1,9 +1,17 @@
 import pytest
 
 from sullivan import verify
-from sullivan.constructors import biquotient_model
+from sullivan.cdga import FreeCDGA
+from sullivan.constructors import biquotient_model, projectivize
 from sullivan.dsl import parse_source
-from sullivan.presets import DESCRIPTIONS, classifying_data, data_files, data_text
+from sullivan.gradedalg import Polynomial
+from sullivan.presets import (
+    DESCRIPTIONS,
+    classifying_data,
+    data_files,
+    data_text,
+    pontryagin_setup,
+)
 from sullivan.verify import (
     SHIPPED_INSTANCES,
     render_report,
@@ -28,6 +36,26 @@ def test_every_recorded_case_passes():
     ]
     for report in reports:
         assert report.ok, (report.case, report.n, [c for c in report.checks if not c.ok])
+
+
+@pytest.mark.parametrize(
+    "case, n", [("thm34", None), ("thm33", 1), ("prop31", 2), ("prop32", 2)]
+)
+def test_every_case_passes_at_its_minimum_n(case, n):
+    report = run_case(case, n)
+    assert report.ok, [c for c in report.checks if not c.ok]
+
+
+def test_presentation_dims_reads_the_model_it_names(monkeypatch):
+    # d(x7) = x4*y4 in place of x4^2 + x4*y4 + y4^2 leaves every x4^k in H_0
+    pe = projectivize(pontryagin_setup("thm34"))
+    x4, y4, x7 = pe.gen("x4"), pe.gen("y4"), pe.gen("x7")
+    diff = dict(pe.differential)
+    diff[x7] = Polynomial.gen(x4) * Polynomial.gen(y4)
+    broken = FreeCDGA(pe.generators, diff)
+    monkeypatch.setattr(verify, "projectivize", lambda data: broken)
+    failed = {c.name for c in run_case("thm34").checks if not c.ok}
+    assert {"pe-model", "presentation-dims"} <= failed
 
 
 def test_run_case_parameter_validation():
