@@ -6,6 +6,8 @@ quotient bases come from exact fraction-free elimination.  Representatives
 are the RREF rows of the cocycle space modulo coboundaries, built as fresh
 rows: that form is unique for the span, so repeated runs pick identical
 representatives, and a class's coordinates are its values at their pivots.
+Only representatives build it: a quasi-isomorphism's rank in each degree is
+read from normal forms modulo the target's coboundaries.
 
 The differential's shape is checked once, when a Cohomology is built: every
 term of every d(g) must be a monomial of degree |g|+1 in the model's
@@ -19,7 +21,7 @@ Each degree's d-matrix columns are built in canonical basis order and
 inserted into the elimination from the last to the first, which fills in
 less.  The order changes no answer: ranks, pivots, normal forms and the
 RREF depend only on the spans, and the kernel basis it yields is read only
-through its size and the RREF of its span modulo coboundaries.
+through its size and its span modulo coboundaries.
 
 RHT_MAX_BASIS in the environment, a nonnegative integer, overrides the
 default cap of 200000 monomials per degree.
@@ -100,7 +102,7 @@ class Cohomology:
             if dg.terms:
                 self._d_by_degree.setdefault(g.degree, []).append((g, dg))
         self._stages: dict[int, _Stage] = {}  # degrees 0 .. len - 1
-        self._h: dict[int, tuple[RowSpace, list[Vec]]] = {}
+        self._h: dict[int, RowSpace] = {}
 
     def _stage(self, n: int) -> _Stage:
         if n not in self._stages:
@@ -140,8 +142,8 @@ class Cohomology:
         # elimination steps of canonical order on the thm33 biquotients.  It
         # cannot change an answer: rank, pivots, normal forms and the RREF
         # depend only on the span, and the cocycles are some basis of the
-        # kernel, read only through their count and the RREF of their span
-        # modulo coboundaries.
+        # kernel, read only through their count and their span modulo
+        # coboundaries.
         image = RowSpace()
         cocycles: list[Vec] = []
         for j in reversed(range(len(columns))):
@@ -181,25 +183,24 @@ class Cohomology:
     def betti(self, n: int) -> int:
         return len(self._stage(n).cocycles) - self.coboundaries(n).rank
 
-    def h_space(self, n: int) -> tuple[RowSpace, list[Vec]]:
-        """RREF basis of cocycles modulo coboundaries in degree n; the
-        only place a reduced echelon form is built."""
+    def h_space(self, n: int) -> RowSpace:
+        """Echelon of the cocycles reduced modulo coboundaries in degree n."""
         if n not in self._h:
             cob = self.coboundaries(n)
             space = RowSpace()
             for z in self._stage(n).cocycles:
                 space.add(cob.reduce(z))
-            self._h[n] = (space, space.basis())
+            self._h[n] = space
         return self._h[n]
 
     def representatives(self, n: int) -> list[Polynomial]:
-        _, reps = self.h_space(n)
-        return [self.to_polynomial(v, n) for v in reps]
+        """The RREF basis of H^n; the only place a reduced echelon form is built."""
+        return [self.to_polynomial(v, n) for v in self.h_space(n).basis()]
 
     def classify(self, cocycle: Polynomial, n: int) -> tuple[list[Fraction], Vec]:
         """Coordinates of a cocycle in the chosen basis of H^n, and the
         cocycle reduced modulo coboundaries."""
-        space, _ = self.h_space(n)
+        space = self.h_space(n)
         residue = self.coboundaries(n).reduce(self.to_vector(cocycle, n))
         if space.reduce(residue):  # cannot happen for an actual cocycle
             raise AssertionError("cocycle not in the span of cohomology representatives")
@@ -394,7 +395,9 @@ class QuasiIsoReport:
 
 
 def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
-    """Check bijectivity of the induced map on cohomology, degree by degree."""
+    """Check bijectivity of the induced map on cohomology, degree by degree.
+    The rank of H^n(f) is that of the pushed classes reduced modulo the
+    target's coboundaries: on cocycles, that reduction has kernel exactly them."""
     check_bound(max_degree, "max_degree")
     for side, model in (("source", m.source), ("target", m.target)):
         violations = validate(model)
@@ -407,16 +410,12 @@ def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
     tgt = Cohomology(m.target)
     per_degree: dict[int, DegreeVerdict] = {}
     for n in range(max_degree + 1):
-        reps = src.representatives(n)
-        image_span = RowSpace()
-        for rep in reps:
-            pushed = m.push(rep)
-            coords = tgt.classify(pushed, n)[0] if not pushed.is_zero() else []
-            vec = {i: c for i, c in enumerate(coords) if c}
-            image_span.add(vec)
+        image = RowSpace()
+        for _, row, _ in src.h_space(n).rows:
+            image.add(tgt.classify(m.push(src.to_polynomial(row, n)), n)[1])
         per_degree[n] = DegreeVerdict(
             source_dim=src.betti(n),
             target_dim=tgt.betti(n),
-            rank=image_span.rank,
+            rank=image.rank,
         )
     return QuasiIsoReport(max_degree, per_degree)

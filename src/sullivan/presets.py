@@ -275,10 +275,11 @@ def comparison_morphism(case: str, n: Optional[int] = None) -> Morphism:
     b4 = Generator("b4", 4)
     v_top = Generator(f"v{8 * n - 1}", 8 * n - 1)
     source = FreeCDGA((b4, v_top), {v_top: -(Polynomial.gen(b4) ** (2 * n))})
-    x4 = Generator("x4", 4)
+    # at n = 1, d(x3) = x4 + a4 is linear in both, and reduce strikes the later, x4
+    even = Generator("a4" if n == 1 else "x4", 4)
     a_top = Generator(f"a{8 * n - 1}", 8 * n - 1)
-    target = FreeCDGA((x4, a_top), {a_top: Polynomial.gen(x4) ** (2 * n)})
-    images = {b4: Polynomial.gen(x4), v_top: -Polynomial.gen(a_top)}
+    target = FreeCDGA((even, a_top), {a_top: Polynomial.gen(even) ** (2 * n)})
+    images = {b4: Polynomial.gen(even), v_top: -Polynomial.gen(a_top)}
     return Morphism(source, target, images)
 
 

@@ -235,6 +235,17 @@ def test_is_quasi_iso_accepts_isomorphic_relabeling():
     assert all(v.describe() == "bijective" for v in report.per_degree.values())
 
 
+@pytest.mark.parametrize(
+    "name", ["thm34_f.morphism", "thm33_n2_eta.morphism", "thm33_n3_eta.morphism"]
+)
+def test_is_quasi_iso_builds_no_reduced_echelon_form(monkeypatch, name):
+    def refuse(self):
+        raise AssertionError("RowSpace.basis is for printed representatives only")
+
+    monkeypatch.setattr(RowSpace, "basis", refuse)
+    assert is_quasi_iso(parse_morphism(data_text(name)), 24).ok
+
+
 def test_is_quasi_iso_flags_failures_per_degree():
     s4 = sphere_model(4)
     bs = bsp_model(1)

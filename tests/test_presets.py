@@ -17,6 +17,7 @@ from sullivan.presets import (
     pontryagin_setup,
     resolve_n,
 )
+from sullivan.reduction import reduce
 
 
 def test_case_list_is_fixed():
@@ -64,6 +65,13 @@ def test_thm34_morphism_targets_the_thm34_projectivization():
     assert f.target == projectivize(pontryagin_setup("thm34"))
     assert tuple(g.name for g in f.source.generators) == ("a4", "b4", "v7", "v11")
     assert compose_and_check(f) == []
+
+
+@pytest.mark.parametrize("case, n", [("thm34", None)] + [("thm33", n) for n in range(1, 5)])
+def test_comparison_maps_join_the_reduced_models(case, n):
+    f = comparison_morphism(case, n)
+    assert f.source == reduce(biquotient_model(classifying_data(case, n)))[0]
+    assert f.target == reduce(projectivize(pontryagin_setup(case, n)))[0]
 
 
 def test_default_parameters():

@@ -7,8 +7,22 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sullivan import cohomology
-from sullivan.cdga import FreeCDGA, Morphism, apply_d, change_of_variable, rename_generators
-from sullivan.cohomology import Cohomology, RingPresentation, betti, class_of, quotient_ring_dims
+from sullivan.cdga import (
+    FreeCDGA,
+    Morphism,
+    apply_d,
+    change_of_variable,
+    rename_generators,
+    tensor,
+)
+from sullivan.cohomology import (
+    Cohomology,
+    RingPresentation,
+    betti,
+    class_of,
+    is_quasi_iso,
+    quotient_ring_dims,
+)
 from sullivan.constructors import biquotient_model, projectivize
 from sullivan.dsl import parse_expression, parse_model, render_model
 from sullivan.gradedalg import (
@@ -24,6 +38,7 @@ from sullivan.presets import classifying_data, pontryagin_setup
 from sullivan.reduction import reduce, replay
 
 from helpers import (
+    betti_by_elimination,
     brute_monomials,
     bubble_sort_with_sign,
     dense_rank,
@@ -508,6 +523,29 @@ def test_class_of_reads_back_a_combination_of_representatives(seed, data):
     assert cls.degree == n
     assert list(cls.coordinates) == coeffs
     assert cls.representative == combo
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_quasi_iso_rank_on_a_tensor_product_follows_kuenneth(seed):
+    # f fixes M's generators and sends N's to 0, so on H(M (x) N) = H(M) (x) H(N)
+    # it keeps exactly H(M) (x) H^0(N)
+    rng = random.Random(seed)
+    left, right = random_pure_model(rng), random_pure_model(rng)
+    both = tensor(left, right)
+    images = {
+        g: Polynomial.gen(g) if g in left.generators else Polynomial.zero()
+        for g in both.generators
+    }
+    report = is_quasi_iso(Morphism(both, both, images), 12)
+    b_left, b_right = betti_by_elimination(left, 12), betti_by_elimination(right, 12)
+    for d, verdict in report.per_degree.items():
+        dim = sum(b_left.get(i, 0) * b_right.get(d - i, 0) for i in range(d + 1))
+        assert (verdict.source_dim, verdict.target_dim, verdict.rank) == (
+            dim,
+            dim,
+            b_left.get(d, 0),
+        )
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sullivan import verify
@@ -56,6 +58,24 @@ def test_presentation_dims_reads_the_model_it_names(monkeypatch):
     monkeypatch.setattr(verify, "projectivize", lambda data: broken)
     failed = {c.name for c in run_case("thm34").checks if not c.ok}
     assert {"pe-model", "presentation-dims"} <= failed
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_prop32_checks_betti_numbers_at_every_n(n):
+    report = run_case("prop32", n)
+    names = [c.name for c in report.checks]
+    assert names == ["reduction", "presentation-dims", "biquotient-betti", "discrepancy-evidence"]
+    assert report.ok, [c for c in report.checks if not c.ok]
+
+
+def test_prop32_betti_checks_fail_off_the_family_series(monkeypatch):
+    # a zero top beta leaves d(a15) = 0 at n = 3, so b_15 = 1
+    betas = tuple(Fraction(b) for b in (4, 6, 4, 0))
+    monkeypatch.setattr(
+        verify, "classifying_data", lambda case, n: classifying_data(case, n, betas)
+    )
+    checks = {c.name: c.ok for c in run_case("prop32", 3).checks}
+    assert not checks["presentation-dims"] and not checks["biquotient-betti"]
 
 
 def test_run_case_parameter_validation():
