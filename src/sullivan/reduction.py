@@ -9,15 +9,16 @@ scanned in (degree, name) order, and among the eligible linear candidates
 inside one differential the generator latest in that order is eliminated,
 which keeps the earliest-named generators in the final presentation.
 
-Every step is certified as soon as it is built by the algebra map from the
-model before it to the model after it: an isomorphism for a change of
-variable (old -> (fresh - rest)/lam), the quotient by the pair for a
-cancellation (v, x -> 0), every other generator fixed (Felix-Halperin-
-Thomas, GTM 205, section 14).  The map must be a CDGA morphism onto
-exactly the expected generators, which pins every differential of the new
-model; this costs O(model size) per step and runs at every check degree.
-A positive check degree adds one comparison of the Betti numbers up to
-that degree at the two endpoints.  The log keeps only the actions.
+Each pair is certified once, after its cancellation, by the one algebra
+map it stands for, from the model before the pair to the model after it:
+x -> -Q/lam, v -> 0, every other generator fixed.  That is the quotient
+by the acyclic ideal (v, dv), a quasi-isomorphism (Felix-Halperin-Thomas,
+GTM 205, section 14).  The map must be a CDGA morphism onto exactly the
+expected generators, which pins every differential of the new model; this
+costs O(model size) per pair and runs at every check degree.  A failure
+names the pair's cancellation step.  A positive check degree adds one
+comparison of the Betti numbers up to that degree at the two endpoints.
+The log keeps only the actions.
 """
 
 from __future__ import annotations
@@ -118,28 +119,26 @@ class ReductionLog:
         return [s for s in self.steps if isinstance(s, Cancellation)]
 
 
-def _certified(before: FreeCDGA, step: Step, after: FreeCDGA) -> FreeCDGA:
-    """after, once the algebra map from before that step stands for is a
-    CDGA morphism onto exactly the expected generators."""
+def _certified(
+    before: FreeCDGA, pair: ReduciblePair, cancel: Cancellation, after: FreeCDGA
+) -> FreeCDGA:
+    """after, once the algebra map from before that the pair stands for
+    (x -> -rest/lam, v -> 0, every other generator fixed) is a CDGA
+    morphism onto exactly the expected generators."""
+    v, x, lam, rest = pair.odd_gen, pair.even_gen, pair.scalar, pair.residue
     problems = []
-    if isinstance(step, ChangeOfVariable):
-        lam, rest, _ = linear_part(step.relation, step.old)
-        gone, new = {step.old}, {step.fresh}
-        images = {step.old: (Polynomial.gen(step.fresh) - rest) * (Fraction(1) / lam)}
-    else:
-        v, x = step.odd_gen, step.even_gen
-        gone, new, images = {v, x}, set(), {}
-        expected = step.scalar * Polynomial.gen(x)
-        if before.d(v) != expected:
-            problems.append(f"d({v.name}) = {before.d(v)}, expected {expected}")
-    fixed = {g: Polynomial.gen(g) for g in before.generators if g not in gone}
-    problems += compose_and_check(Morphism(before, after, {**fixed, **images}))
-    extra = set(after.generators) - (set(before.generators) - gone) - new
+    expected = lam * Polynomial.gen(x) + rest
+    if before.d(v) != expected:
+        problems.append(f"d({v.name}) = {before.d(v)}, expected {expected}")
+    images = {g: Polynomial.gen(g) for g in before.generators if g not in (v, x)}
+    images[x] = rest * (Fraction(-1) / lam)
+    problems += compose_and_check(Morphism(before, after, images))
+    extra = set(after.generators) - (set(before.generators) - {v, x})
     if extra:
         problems.append(f"unexpected generators {', '.join(sorted(g.name for g in extra))}")
     if problems:
         raise VerificationFailedError(
-            f"step '{step.describe()}' fails its certificate: " + "; ".join(problems)
+            f"step '{cancel.describe()}' fails its certificate: " + "; ".join(problems)
         )
     return after
 
@@ -148,14 +147,14 @@ def reduce(
     model: FreeCDGA,
     check_degree: int = DEFAULT_CHECK_DEGREE,
 ) -> tuple[FreeCDGA, ReductionLog]:
-    """Reduce until no pair is cancellable, certifying every step.
+    """Reduce until no pair is cancellable, certifying every pair.
 
-    Each step is checked right after it is built by its algebra map onto
-    the next model (see the module docstring); VerificationFailedError
-    names the first step that fails.  check_degree only bounds the endpoint
-    check: with check_degree > 0 and at least one step taken, the Betti
-    numbers up to check_degree of the result are compared with those of
-    the input (two full computations).  check_degree = 0 skips that check,
+    Each pair is checked once, after its cancellation, by its algebra map
+    onto the next model (see the module docstring); VerificationFailedError
+    names the cancellation step of the first pair that fails.  check_degree
+    only bounds the endpoint check: with check_degree > 0 and at least one
+    step taken, the Betti numbers up to check_degree of the result are
+    compared with those of the input (two full computations).  check_degree = 0 skips that check,
     not the certificates, and leaves log.betti_before None.  A negative
     check_degree, or a model that breaks the CDGA axioms, raises ValueError.
     """
@@ -167,15 +166,15 @@ def reduce(
     log = ReductionLog(check_degree, model, [])
     while (pair := find_reducible(current)) is not None:
         v, x = pair.odd_gen, pair.even_gen
+        changed = current
         if not pair.residue.is_zero():
             taken = {g.name for g in current.generators}
             fresh = Generator(fresh_name(f"t{x.degree}", taken), x.degree)
             change = ChangeOfVariable(x, fresh, current.d(v))
-            after = change_of_variable(current, x, fresh, change.relation)
-            current = _certified(current, change, after)
+            changed = change_of_variable(current, x, fresh, change.relation)
             log.steps.append(change)
-        after, cancel = cancel_acyclic_pair(current, v)
-        current = _certified(current, cancel, after)
+        after, cancel = cancel_acyclic_pair(changed, v)
+        current = _certified(current, pair, cancel, after)
         log.steps.append(cancel)
     if log.steps and log.betti_before is not None:
         # Both snapshots hold every degree up to check_degree.

@@ -30,7 +30,7 @@ from sullivan.cohomology import (
 )
 from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
 from sullivan.gradedalg import Generator, Polynomial
-from sullivan.reduction import Cancellation, _certified, reduce
+from sullivan.reduction import Cancellation, ReduciblePair, _certified, reduce
 
 x4, x7, z4, w4, t4 = (Generator(n, d) for n, d in (("x4", 4), ("x7", 7), ("z4", 4), ("w4", 4), ("t4", 4)))
 a4, b4, c4, v4, a7 = (Generator(n, d) for n, d in (("a4", 4), ("b4", 4), ("c4", 4), ("v4", 4), ("a7", 7)))
@@ -127,7 +127,10 @@ CASES = [
     (
         "reduction-step-certificate",
         lambda: _certified(
-            FreeCDGA((u3, z4, x7), {u3: 2 * Z4}), Cancellation(u3, z4, 1), FreeCDGA((w4,))
+            FreeCDGA((u3, z4, x7), {u3: 2 * Z4}),
+            ReduciblePair(u3, z4, 1, Polynomial.zero()),
+            Cancellation(u3, z4, 1),
+            FreeCDGA((w4,)),
         ),
         (
             "VerificationFailedError",

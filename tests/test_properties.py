@@ -461,7 +461,7 @@ def test_random_models_round_trip_through_documents(seed):
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-@settings(max_examples=10, deadline=None)
+@settings(deadline=None)
 def test_reduction_preserves_cohomology_and_replays(seed):
     model = random_reducible_model(random.Random(seed))
     out, log = reduce(model, check_degree=9)

@@ -292,3 +292,56 @@ def test_reduce_preserves_betti_on_random_reducible_models(rng):
         assert len(out.generators) < len(m.generators)
         assert betti(out, 10).nonzero() == betti_by_elimination(m, 10)
         assert replay(m, log) == out
+
+
+def test_reduce_certifies_each_pair_once(monkeypatch):
+    calls = []
+    real_check = reduction.compose_and_check
+
+    def counted(morphism):
+        calls.append(morphism)
+        return real_check(morphism)
+
+    monkeypatch.setattr(reduction, "compose_and_check", counted)
+    _, log = reduce(biquotient_model(classifying_data("thm33", 2)), check_degree=0)
+    assert len(log.steps) == 6
+    assert len(calls) == len(log.cancellations()) == 3
+
+
+a2, e3, w4, y7 = (Generator(n, d) for n, d in (("a2", 2), ("e3", 3), ("w4", 4), ("y7", 7)))
+A2, E3, X4, W4 = (Polynomial.gen(g) for g in (a2, e3, x4, w4))
+# not pure, and the struck x4 is not closed, so the certificate's chain
+# condition on x4 has something to check
+NOT_CLOSED = FreeCDGA(
+    (a2, e3, x4, v3, y7, w4),
+    {a2: E3, x4: -2 * A2 * E3, v3: X4 + A2 ** 2 + W4, y7: W4 ** 2},
+)
+
+
+def test_reduce_strikes_a_pair_whose_even_generator_is_not_closed():
+    out, log = reduce(NOT_CLOSED, check_degree=0)
+    assert [s.describe() for s in log.steps] == [
+        "introduce t4 = a2^2 + w4 + x4   [replacing x4]",
+        "cancel (v3, t4)",
+    ]
+    assert out == FreeCDGA((a2, e3, w4, y7), {a2: E3, y7: W4 ** 2})
+    assert replay(NOT_CLOSED, log) == out
+    assert betti(out, 12).nonzero() == betti_by_elimination(NOT_CLOSED, 12) == {0: 1, 4: 1}
+
+
+def test_reduce_names_the_cancellation_when_the_change_of_variable_is_faulty(monkeypatch):
+    real_change = reduction.change_of_variable
+
+    def change_and_double_dy7(model, old, fresh, relation):
+        out = real_change(model, old, fresh, relation)
+        diff = {g: out.d(g) for g in out.generators}
+        diff[y7] = 2 * diff[y7]
+        return FreeCDGA(out.generators, diff)
+
+    monkeypatch.setattr(reduction, "change_of_variable", change_and_double_dy7)
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(NOT_CLOSED, check_degree=0)
+    assert str(info.value) == (
+        "step 'cancel (v3, t4)' fails its certificate: chain condition fails on y7: "
+        "image of d(y7) is w4^2, but d of the image is 2*w4^2"
+    )
