@@ -87,8 +87,11 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
     if n < 1:
         raise UnsupportedDimensionError(f"bundle rank must be >= 1, got {n}")
     base = data.base
-    classes = data.padded_classes()
-    for i, p in enumerate(classes, start=1):
+    taken = {g.name for g in base.generators}
+    x = Generator(fresh_name("x4", taken), 4)
+    top = Generator(fresh_name(f"x{4 * n - 1}", taken), 4 * n - 1)
+    d_top = Polynomial.gen(x) ** n
+    for i, p in enumerate(data.padded_classes(), start=1):
         if p.is_zero():
             continue
         names = unknown_names(p, base.generators)
@@ -103,12 +106,6 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
         dp = apply_d(base, p)
         if not dp.is_zero():
             raise NotACocycleError(f"p_{i} is not a cocycle: d(p_{i}) = {dp}")
-
-    taken = {g.name for g in base.generators}
-    x = Generator(fresh_name("x4", taken), 4)
-    top = Generator(fresh_name(f"x{4 * n - 1}", taken), 4 * n - 1)
-    d_top = Polynomial.gen(x) ** n
-    for i, p in enumerate(classes, start=1):
         d_top = d_top + p * Polynomial.gen(x) ** (n - i)
     diff = dict(base.differential)
     diff[top] = d_top

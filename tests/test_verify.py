@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from sullivan import verify
-from sullivan.cdga import FreeCDGA
-from sullivan.constructors import biquotient_model, projectivize
+from sullivan.cdga import FreeCDGA, identity_morphism
+from sullivan.constructors import biquotient_model, hp_model, projectivize
 from sullivan.dsl import parse_source
 from sullivan.gradedalg import Polynomial
 from sullivan.presets import (
     DESCRIPTIONS,
     classifying_data,
+    comparison_morphism,
     data_files,
     data_text,
     pontryagin_setup,
@@ -146,3 +147,45 @@ def test_quasi_iso_check_fails_on_a_map_that_is_not_a_chain_map():
     assert check.name == "quasi-iso"
     assert not check.ok
     assert "chain condition fails on xbar7" in check.detail
+
+
+def _failed_checks(report):
+    return {c.name for c in report.checks if not c.ok}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_thm33_reductions_end_at_the_comparison_map_endpoints(n):
+    report = run_case("thm33", n)
+    assert report.ok, [c for c in report.checks if not c.ok]
+
+
+def test_thm33_reductions_fail_against_another_n_comparison_map(monkeypatch):
+    # the n = 3 map is a quasi-isomorphism too, but between other models
+    monkeypatch.setattr(
+        verify, "comparison_morphism", lambda case, n=None: comparison_morphism(case, 3)
+    )
+    report = run_case("thm33", 2)
+    assert len(report.checks) == 6
+    assert _failed_checks(report) == {"pe-reduction", "biquotient-reduction"}
+
+
+def test_thm34_checks_fail_against_a_comparison_map_between_other_models(monkeypatch):
+    identity = identity_morphism(hp_model(2))
+    monkeypatch.setattr(verify, "comparison_morphism", lambda case, n=None: identity)
+    assert _failed_checks(run_case("thm34")) == {"pe-model", "reduction"}
+
+
+def test_prop32_matches_thm34_reads_the_thm34_comparison_map(monkeypatch):
+    identity = identity_morphism(hp_model(2))
+    monkeypatch.setattr(verify, "comparison_morphism", lambda case, n=None: identity)
+    assert _failed_checks(run_case("prop32", 2)) == {"matches-thm34"}
+
+
+def test_configuration_evidence_must_parse(monkeypatch):
+    broken = "biquotient B { wh a4 : 4; wh a4 : 4; }"
+    monkeypatch.setattr(
+        verify, "data_text", lambda name: broken if name == "prop31_n2.bq" else data_text(name)
+    )
+    evidence = next(c for c in run_case("prop31", 2).checks if c.name == "discrepancy-evidence")
+    assert not evidence.ok
+    assert "prop31_n2.bq -> line 1, column 30: name 'a4' declared twice" in evidence.detail
