@@ -2,18 +2,19 @@
 differential and cancel the resulting acyclic pair.
 
 Each round finds an odd generator v with d(v) = lam*x + Q where x is an
-even generator that occurs nowhere else in d(v).  If Q is nonzero a change
-of variable introduces t = lam*x + Q so that d(v) = t; the pair (v, t) is
-then cancelled.  Pairs are chosen deterministically: odd generators are
-scanned in (degree, name) order, and among the eligible linear candidates
-inside one differential the generator latest in that order is eliminated,
-which keeps the earliest-named generators in the final presentation.
+even generator that occurs nowhere else in d(v).  Cancelling (v, x) is the
+quotient by the acyclic ideal (v, dv): x -> -Q/lam, v -> 0, every other
+generator fixed (Felix-Halperin-Thomas, GTM 205, section 14).  The search
+computes every other differential under that map, and the next model is
+built once from them.  The log records it as replay() redoes it: a change
+of variable t = lam*x + Q when Q is nonzero, then the cancellation of
+(v, t).  Pairs are chosen deterministically: odd generators are scanned in
+(degree, name) order, and among the eligible linear candidates inside one
+differential the generator latest in that order is eliminated, which keeps
+the earliest-named generators in the final presentation.
 
-Each pair is certified once, after its cancellation, by the one algebra
-map it stands for, from the model before the pair to the model after it:
-x -> -Q/lam, v -> 0, every other generator fixed.  That is the quotient
-by the acyclic ideal (v, dv), a quasi-isomorphism (Felix-Halperin-Thomas,
-GTM 205, section 14).  The map must be a CDGA morphism onto exactly the
+Each pair is certified once by that map, from the model before the pair to
+the model after it.  The map must be a CDGA morphism onto exactly the
 expected generators, which pins every differential of the new model; this
 costs O(model size) per pair and runs at every check degree.  A failure
 names the pair's cancellation step.  A positive check degree adds one
@@ -51,6 +52,7 @@ class ReduciblePair:
     even_gen: Generator
     scalar: Fraction
     residue: Polynomial  # d(odd_gen) - scalar * even_gen
+    kept: dict[Generator, Polynomial]  # the next model: d(g), even_gen -> -residue/scalar
 
 
 def find_reducible(model: FreeCDGA) -> Optional[ReduciblePair]:
@@ -65,12 +67,14 @@ def find_reducible(model: FreeCDGA) -> Optional[ReduciblePair]:
             # After eliminating x and striking the pair, x ends up replaced
             # by -residue/lam everywhere; v must not survive anywhere else.
             replacement = residue * (Fraction(-1) / lam)
-            if not any(
-                v in substitute(model.d(g), x, replacement).generators()
-                for g in model.generators
-                if g not in (v, x)
-            ):
-                return ReduciblePair(v, x, lam, residue)
+            kept = {}
+            for g in model.generators:
+                if g not in (v, x):
+                    kept[g] = substitute(model.d(g), x, replacement)
+                    if v in kept[g].generators():
+                        break
+            else:
+                return ReduciblePair(v, x, lam, residue, kept)
     return None
 
 
@@ -104,11 +108,9 @@ class ReductionLog:
         if not self.steps:
             lines.append("no reducible pair; model unchanged")
         elif self.check_degree > 0:
-            # Every step is certified a (quasi-)isomorphism and the
-            # endpoints agree, so the Betti numbers hold throughout.
             lines.append(
-                f"betti numbers verified unchanged up to degree {self.check_degree} "
-                f"after every step"
+                f"each pair certified by its algebra map; betti numbers equal "
+                f"at both ends up to degree {self.check_degree}"
             )
         return "\n".join(lines)
 
@@ -124,7 +126,8 @@ def _certified(
 ) -> FreeCDGA:
     """after, once the algebra map from before that the pair stands for
     (x -> -rest/lam, v -> 0, every other generator fixed) is a CDGA
-    morphism onto exactly the expected generators."""
+    morphism onto exactly the expected generators; pair.kept, from which
+    reduce builds after, is never read."""
     v, x, lam, rest = pair.odd_gen, pair.even_gen, pair.scalar, pair.residue
     problems = []
     expected = lam * Polynomial.gen(x) + rest
@@ -166,14 +169,13 @@ def reduce(
     log = ReductionLog(check_degree, model, [])
     while (pair := find_reducible(current)) is not None:
         v, x = pair.odd_gen, pair.even_gen
-        changed = current
+        cancel = Cancellation(v, x, pair.scalar)
         if not pair.residue.is_zero():
             taken = {g.name for g in current.generators}
-            fresh = Generator(fresh_name(f"t{x.degree}", taken), x.degree)
-            change = ChangeOfVariable(x, fresh, current.d(v))
-            changed = change_of_variable(current, x, fresh, change.relation)
-            log.steps.append(change)
-        after, cancel = cancel_acyclic_pair(changed, v)
+            t = Generator(fresh_name(f"t{x.degree}", taken), x.degree)
+            log.steps.append(ChangeOfVariable(x, t, current.d(v)))
+            cancel = Cancellation(v, t, Fraction(1))  # d(v) = t after the change
+        after = FreeCDGA(tuple(pair.kept), pair.kept)
         current = _certified(current, pair, cancel, after)
         log.steps.append(cancel)
     if log.steps and log.betti_before is not None:

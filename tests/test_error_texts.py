@@ -128,7 +128,7 @@ CASES = [
         "reduction-step-certificate",
         lambda: _certified(
             FreeCDGA((u3, z4, x7), {u3: 2 * Z4}),
-            ReduciblePair(u3, z4, 1, Polynomial.zero()),
+            ReduciblePair(u3, z4, 1, Polynomial.zero(), {w4: Polynomial.zero()}),
             Cancellation(u3, z4, 1),
             FreeCDGA((w4,)),
         ),

@@ -1,13 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from sullivan.cdga import FreeCDGA
 from sullivan.cohomology import betti
-from sullivan.constructors import biquotient_model, hp_model
+from sullivan.constructors import biquotient_model, hp_model, projectivize
 from sullivan.errors import VerificationFailedError
 from sullivan.gradedalg import Generator, Polynomial
-from sullivan.presets import classifying_data
+from sullivan.presets import classifying_data, pontryagin_setup
 from sullivan import reduction
 from sullivan.reduction import (
     Cancellation,
@@ -66,16 +67,31 @@ def test_reduce_direct_cancellation_without_change():
     assert step.describe() == "cancel (v3, x4)   [scalar 2]"
 
 
+def _fault_next_models(monkeypatch, fault):
+    """Make reduce build each next model from fault(kept, k): the pair's
+    differentials after the cancellation, and the pair's number k.  Returns
+    the list of odd generators paired so far."""
+    real_find = reduction.find_reducible
+    calls = []
+
+    def find_and_corrupt(model):
+        pair = real_find(model)
+        if pair is None:
+            return None
+        calls.append(pair.odd_gen.name)
+        return replace(pair, kept=fault(dict(pair.kept), len(calls)))
+
+    monkeypatch.setattr(reduction, "find_reducible", find_and_corrupt)
+    return calls
+
+
 def test_reduce_names_a_step_that_changes_betti_numbers(monkeypatch):
-    real_cancel = reduction.cancel_acyclic_pair
-
-    def cancel_and_drop_v7(model, v):
+    def drop_v7(kept, _):
         # a faulty step: the real cancellation, then the closed class v7 is lost
-        out, cert = real_cancel(model, v)
-        kept = tuple(g for g in out.generators if g != v7)
-        return FreeCDGA(kept, {g: out.d(g) for g in kept}), cert
+        del kept[v7]
+        return kept
 
-    monkeypatch.setattr(reduction, "cancel_acyclic_pair", cancel_and_drop_v7)
+    _fault_next_models(monkeypatch, drop_v7)
     m = FreeCDGA((v3, x4, v7), {v3: 2 * Polynomial.gen(x4)})
     with pytest.raises(VerificationFailedError) as info:
         reduce(m, check_degree=10)
@@ -86,18 +102,12 @@ def test_reduce_names_a_step_that_changes_betti_numbers(monkeypatch):
 
 
 def test_reduce_names_the_first_faulty_step_in_the_middle(monkeypatch):
-    real_cancel = reduction.cancel_acyclic_pair
-    calls = []
+    def drop_v7_on_second_call(kept, k):
+        if k == 2:
+            del kept[v7]
+        return kept
 
-    def drop_v7_on_second_call(model, v):
-        out, cert = real_cancel(model, v)
-        calls.append(v.name)
-        if len(calls) != 2:
-            return out, cert
-        kept = tuple(g for g in out.generators if g != v7)
-        return FreeCDGA(kept, {g: out.d(g) for g in kept}), cert
-
-    monkeypatch.setattr(reduction, "cancel_acyclic_pair", drop_v7_on_second_call)
+    calls = _fault_next_models(monkeypatch, drop_v7_on_second_call)
     u3, w3, y4, z4 = (Generator(n, d) for n, d in (("u3", 3), ("w3", 3), ("y4", 4), ("z4", 4)))
     m = FreeCDGA(
         (u3, v3, w3, x4, y4, z4, v7),
@@ -114,21 +124,18 @@ def test_reduce_names_the_first_faulty_step_in_the_middle(monkeypatch):
 
 
 def test_reduce_catches_faulty_steps_whose_betti_changes_cancel(monkeypatch):
-    real_cancel = reduction.cancel_acyclic_pair
-    calls = []
     a7 = Generator("a7", 7)
 
-    def drop_v7_then_add_a7(model, v):
+    def drop_v7_then_add_a7(kept, k):
         # the 2nd cancellation loses the closed class v7 and the 3rd adds a
         # closed degree-7 generator, so the endpoint Betti numbers agree
-        out, cert = real_cancel(model, v)
-        calls.append(v.name)
-        kept = [g for g in out.generators if not (len(calls) == 2 and g == v7)]
-        if len(calls) == 3:
-            kept.append(a7)
-        return FreeCDGA(tuple(kept), {g: out.d(g) for g in kept if g != a7}), cert
+        if k == 2:
+            del kept[v7]
+        if k == 3:
+            kept[a7] = Polynomial.zero()
+        return kept
 
-    monkeypatch.setattr(reduction, "cancel_acyclic_pair", drop_v7_then_add_a7)
+    calls = _fault_next_models(monkeypatch, drop_v7_then_add_a7)
     u3, w3, y4, z4 = (Generator(n, d) for n, d in (("u3", 3), ("w3", 3), ("y4", 4), ("z4", 4)))
     m = FreeCDGA(
         (u3, v3, w3, x4, y4, z4, v7),
@@ -142,16 +149,12 @@ def test_reduce_catches_faulty_steps_whose_betti_changes_cancel(monkeypatch):
 
 @pytest.mark.parametrize("check_degree", [0, 10])
 def test_reduce_catches_a_corrupted_differential_at_its_step(monkeypatch, check_degree):
-    real_cancel = reduction.cancel_acyclic_pair
-
-    def cancel_and_corrupt(model, v):
+    def corrupt_dv7(kept, _):
         # the right generators survive, but d(v7) picks up a stray term
-        out, cert = real_cancel(model, v)
-        diff = {g: out.d(g) for g in out.generators}
-        diff[v7] = diff[v7] + Polynomial.gen(y4) ** 2
-        return FreeCDGA(out.generators, diff), cert
+        kept[v7] = kept[v7] + Polynomial.gen(y4) ** 2
+        return kept
 
-    monkeypatch.setattr(reduction, "cancel_acyclic_pair", cancel_and_corrupt)
+    _fault_next_models(monkeypatch, corrupt_dv7)
     m = FreeCDGA(
         (v3, x4, y4, v7),
         {v3: Polynomial.gen(x4), v7: Polynomial.gen(x4) ** 2},
@@ -206,6 +209,23 @@ def test_reduce_snapshots_match_the_replayed_models(case, n):
     model = biquotient_model(classifying_data(case, n))
     reduced, log = reduce(model, check_degree=20)
     assert log.betti_before == betti(model, 20).betti
+    assert replay(model, log) == reduced
+
+
+@pytest.mark.parametrize(
+    "case, n, space",
+    [("thm33", n, space) for n in range(1, 6) for space in ("biquotient", "projectivization")]
+    + [(case, n, "biquotient") for case in ("prop31", "prop32") for n in range(2, 6)],
+)
+def test_reduce_matches_the_replayed_model_on_the_paper_inputs(case, n, space):
+    # reduce builds each next model from the pair's substitution; replay
+    # redoes the logged changes of variable and cancellations one by one
+    if space == "biquotient":
+        model = biquotient_model(classifying_data(case, n))
+    else:
+        model = projectivize(pontryagin_setup(case, n))
+    reduced, log = reduce(model, check_degree=0)
+    assert log.cancellations()
     assert replay(model, log) == reduced
 
 
@@ -269,7 +289,7 @@ def test_reduction_log_renders_verbatim():
     assert log.render() == (
         "step 1: introduce t4 = a4 - 3*b4 + c4   [replacing c4]\n"
         "step 2: cancel (v3, t4)\n"
-        "betti numbers verified unchanged up to degree 20 after every step"
+        "each pair certified by its algebra map; betti numbers equal at both ends up to degree 20"
     )
 
 
@@ -330,15 +350,13 @@ def test_reduce_strikes_a_pair_whose_even_generator_is_not_closed():
 
 
 def test_reduce_names_the_cancellation_when_the_change_of_variable_is_faulty(monkeypatch):
-    real_change = reduction.change_of_variable
+    def double_dy7(kept, _):
+        # the substitution x4 -> -(a2^2 + w4), which the change of variable
+        # and the cancellation stand for, comes out with d(y7) doubled
+        kept[y7] = 2 * kept[y7]
+        return kept
 
-    def change_and_double_dy7(model, old, fresh, relation):
-        out = real_change(model, old, fresh, relation)
-        diff = {g: out.d(g) for g in out.generators}
-        diff[y7] = 2 * diff[y7]
-        return FreeCDGA(out.generators, diff)
-
-    monkeypatch.setattr(reduction, "change_of_variable", change_and_double_dy7)
+    _fault_next_models(monkeypatch, double_dy7)
     with pytest.raises(VerificationFailedError) as info:
         reduce(NOT_CLOSED, check_degree=0)
     assert str(info.value) == (

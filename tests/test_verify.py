@@ -175,6 +175,15 @@ def test_thm34_checks_fail_against_a_comparison_map_between_other_models(monkeyp
     assert _failed_checks(run_case("thm34")) == {"pe-model", "reduction"}
 
 
+def test_thm34_quasi_iso_detail_lists_the_images_of_the_map_it_checked(monkeypatch):
+    identity = identity_morphism(hp_model(2))
+    monkeypatch.setattr(verify, "comparison_morphism", lambda case, n=None: identity)
+    check = next(c for c in run_case("thm34").checks if c.name == "quasi-iso")
+    assert check.ok
+    assert "v7 -> -x7" not in check.detail
+    assert check.detail.endswith("recorded in f-chain-sign (images x4 -> x4, x11 -> x11)")
+
+
 def test_prop32_matches_thm34_reads_the_thm34_comparison_map(monkeypatch):
     identity = identity_morphism(hp_model(2))
     monkeypatch.setattr(verify, "comparison_morphism", lambda case, n=None: identity)
@@ -189,3 +198,19 @@ def test_configuration_evidence_must_parse(monkeypatch):
     evidence = next(c for c in run_case("prop31", 2).checks if c.name == "discrepancy-evidence")
     assert not evidence.ok
     assert "prop31_n2.bq -> line 1, column 30: name 'a4' declared twice" in evidence.detail
+
+
+def test_model_evidence_that_does_not_parse_fails_its_check(monkeypatch):
+    broken = "model M { gen x4 : 4; gen x4 : 4; }"
+    monkeypatch.setattr(
+        verify,
+        "data_text",
+        lambda name: broken if name == "thm33_verbatim_n2.model" else data_text(name),
+    )
+    report = run_case("thm33", 2)
+    assert _failed_checks(report) == {"discrepancy-evidence"}
+    evidence = report.checks[-1]
+    assert (
+        "dv7-exponent: thm33_verbatim_n2.model -> "
+        "line 1, column 27: generator 'x4' declared twice"
+    ) in evidence.detail
