@@ -34,6 +34,15 @@ for stem in stems(".morphism"):
     CASES[f"quasi-iso-{stem}"] = ("quasi-iso", f"{stem}.morphism", "--max-degree", "16")
 for stem in stems(".bq"):
     CASES[f"biquotient-{stem}"] = ("biquotient", "--config", f"{stem}.bq")
+for case, base, rank, pont in [
+    ("thm34", "hp2", 2, "thm34"),
+    ("thm33_n2", "s8", 2, "thm33_n2"),
+    ("thm33_n3", "s12", 3, "thm33_n3"),
+    ("thm33_n2-rank1", "s8", 1, "thm33_n2"),  # p 2 is past the rank: exit 2
+]:
+    CASES[f"projectivize-{case}"] = (
+        "projectivize", "--base", f"{base}.model", "--rank", str(rank), "--pontryagin", f"{pont}.pont"
+    )
 
 
 def run_cli(argv, cwd):

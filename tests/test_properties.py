@@ -23,8 +23,18 @@ from sullivan.cohomology import (
     is_quasi_iso,
     quotient_ring_dims,
 )
-from sullivan.constructors import biquotient_model, projectivize
-from sullivan.dsl import parse_expression, parse_model, render_model
+from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, projectivize
+from sullivan.dsl import (
+    parse_classifying,
+    parse_expression,
+    parse_model,
+    parse_pontryagin,
+    parse_source,
+    render_classifying,
+    render_model,
+    render_morphism,
+    render_pontryagin,
+)
 from sullivan.gradedalg import (
     Generator,
     Monomial,
@@ -611,3 +621,62 @@ def presentations(draw):
 def test_quotient_ring_dims_match_the_oracle_on_random_presentations(pres):
     want = quotient_dims_by_elimination(pres.generators, pres.relations, QUOTIENT_DEGREE)
     assert quotient_ring_dims(pres, QUOTIENT_DEGREE) == want
+
+
+def _generators(prefix, min_size=0):
+    """Up to three generators of degrees 1-9 named prefix + degree, primed
+    apart: h4, h6', h4''."""
+    return st.lists(st.integers(min_value=1, max_value=9), min_size=min_size, max_size=3).map(
+        lambda degrees: tuple(
+            Generator(f"{prefix}{d}" + "'" * i, d) for i, d in enumerate(degrees)
+        )
+    )
+
+
+@st.composite
+def polynomials_over(draw, gens):
+    """Up to three terms in gens (odd ones at most once), constants included."""
+    ordered = sorted(gens)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        powers = tuple(
+            (g, e) for g in ordered if (e := draw(st.integers(0, 1 if g.odd else 2)))
+        )
+        terms[Monomial(powers)] = draw(coefficients)
+    return Polynomial(terms)
+
+
+@st.composite
+def free_models(draw, prefix):
+    gens = draw(_generators(prefix, min_size=1))
+    return FreeCDGA(gens, {g: draw(polynomials_over(gens)) for g in gens})
+
+
+@st.composite
+def classifying_data_with_aliases(draw):
+    wh, wk, v = draw(_generators("h")), draw(_generators("k")), draw(_generators("v", 1))
+    phi_h = {g: p for g in v if not (p := draw(polynomials_over(wh))).is_zero()}
+    phi_k = {g: p for g in v if not (p := draw(polynomials_over(wk))).is_zero()}
+    aliased = draw(st.lists(st.sampled_from(v), unique=True))
+    names = {g: f"s{i}" + "'" * i for i, g in enumerate(aliased)}
+    return ClassifyingData(wh, wk, v, phi_h, phi_k, names)
+
+
+@given(classifying_data_with_aliases())
+def test_render_round_trip_of_classifying_data(data):
+    assert parse_classifying(render_classifying(data, name="B")) == data
+
+
+@given(free_models("b"), st.integers(min_value=1, max_value=4), st.data())
+def test_render_round_trip_of_pontryagin_data(base, rank, data):
+    classes = tuple(data.draw(polynomials_over(base.generators)) for _ in range(rank))
+    pont = PontryaginData(base, rank, classes)
+    assert parse_pontryagin(render_pontryagin(pont, name="P"), base, rank) == pont
+
+
+@given(free_models("x"), free_models("y"), st.data())
+def test_render_round_trip_of_morphisms(source, target, data):
+    images = {g: data.draw(polynomials_over(target.generators)) for g in source.generators}
+    f = Morphism(source, target, images)
+    doc = parse_source(render_morphism(f, name="f", source_name="A", target_name="B"))
+    assert doc.only("morphism").to_morphism(doc.resolved_models()) == f
