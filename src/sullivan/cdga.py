@@ -1,5 +1,6 @@
 """Free CDGAs: differentials, validation, tensor products, and the two
-structural moves the reduction loop is built from.
+structural moves (a change of variable and the cancellation of an acyclic
+pair) that reduction.replay redoes from a reduction log.
 
 A FreeCDGA is a free graded-commutative algebra together with a degree +1
 differential given on generators.  Construction never validates; validate()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from sullivan.cdga import FreeCDGA, apply_d, checked
+from sullivan.cdga import FreeCDGA, apply_d, checked, validate
 from sullivan.errors import (
     DegreeMismatchError,
     NotACocycleError,
@@ -81,12 +81,16 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
 
     Adjoins a degree 4 generator x4 and a degree 4n-1 generator whose
     differential is x4^n plus the characteristic terms p_i * x4^(n-i).
-    Fiber names are primed if the base already uses them.
+    Fiber names are primed if the base already uses them.  A base that is
+    not a CDGA is a ValueError.
     """
     n = data.rank
     if n < 1:
         raise UnsupportedDimensionError(f"bundle rank must be >= 1, got {n}")
     base = data.base
+    bad = validate(base)
+    if bad:
+        raise ValueError("base is not a CDGA: " + "; ".join(bad))
     taken = {g.name for g in base.generators}
     x = Generator(fresh_name("x4", taken), 4)
     top = Generator(fresh_name(f"x{4 * n - 1}", taken), 4 * n - 1)

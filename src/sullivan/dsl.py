@@ -12,7 +12,16 @@ Grammar (whitespace-insensitive, # starts a line comment):
 An EXPR is a signed sum of terms; a term is an optional rational
 coefficient p or p/q, then * separated generator powers IDENT or
 IDENT^INT.  ^ binds tighter than *.  Identifiers may carry trailing
-primes.  Every error carries a line and column.
+primes.
+
+One statement loop reads every body, driven by its document kind's table
+of statement forms: a statement declares a generator (NAME : INT) or
+assigns an expression to a name (NAME = EXPR, or NAME -> EXPR in a
+morphism).  A statement keeps its name token, and an expression the token
+of each generator it names, as their positions.  Resolution declares
+generators through one routine and resolves every assignment
+(differentials, phiH and phiK, morphism images, Pontryagin classes)
+through one other.  Every error carries a line and column.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from sullivan.cdga import FreeCDGA, Morphism, _violations, compose_and_check
 from sullivan.constructors import ClassifyingData, PontryaginData
@@ -41,6 +50,10 @@ class Token:
     text: str
     line: int
     col: int
+
+
+def _error(message: str, tok: Token) -> DslError:
+    return DslError(message, tok.line, tok.col)
 
 
 _TOKEN_RE = re.compile(
@@ -80,36 +93,20 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class RawFactor:
-    name: str
-    exponent: int
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class RawTerm:
-    coefficient: Fraction
-    factors: tuple[RawFactor, ...]
-
-
-@dataclass(frozen=True)
-class RawExpr:
-    terms: tuple[RawTerm, ...]
-
-    def resolve(self, env: Mapping[str, Generator]) -> Polynomial:
-        """The sum of the terms in text order, each the product of its factors as written."""
-        total = Polynomial.zero()
-        for term in self.terms:
-            product = Polynomial.scalar(term.coefficient)
-            for f in term.factors:
-                g = env.get(f.name)
-                if g is None:
-                    raise DslError(f"unknown generator {f.name!r}", f.line, f.col)
-                product = product * Polynomial.gen(g) ** f.exponent
-            total = total + product
-        return total
+# An expression is parsed before the generators it names are known, into
+# its terms: a tuple of (coefficient, ((name token, exponent), ...)).
+def _resolve(terms: tuple, env: Mapping[str, Generator]) -> Polynomial:
+    """The sum of the terms in text order, each the product of its factors as written."""
+    total = Polynomial.zero()
+    for coefficient, factors in terms:
+        product = Polynomial.scalar(coefficient)
+        for tok, exponent in factors:
+            g = env.get(tok.text)
+            if g is None:
+                raise _error(f"unknown generator {tok.text!r}", tok)
+            product = product * Polynomial.gen(g) ** exponent
+        total = total + product
+    return total
 
 
 def _one_of(words: tuple[str, ...]) -> str:
@@ -133,238 +130,251 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Optional[Token] = None) -> "DslError":
-        tok = tok or self.peek()
-        return DslError(message, tok.line, tok.col)
-
-    def unexpected(self, what: str) -> "DslError":
+    def unexpected(self, what: str) -> DslError:
         """The error 'expected <what>, found <the next token>' at the next token."""
-        return self.fail(f"expected {what}, found {self.peek().text or 'end of input'!r}")
+        tok = self.peek()
+        return _error(f"expected {what}, found {tok.text or 'end of input'!r}", tok)
+
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
+
+    def accept(self, text: str) -> bool:
+        """Step over the next token if it reads text."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
 
     def expect(self, punct: str) -> Token:
-        if not self.at_punct(punct):
+        if not self.at(punct):
             raise self.unexpected(repr(punct))
         return self.next()
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
-
-    def ident(self, what: str) -> Token:
-        if self.peek().kind != "IDENT":
+    def take(self, kind: str, what: str) -> Token:
+        """The next token, which must be of kind (IDENT or INT); what names it in errors."""
+        if self.peek().kind != kind:
             raise self.unexpected(what)
         return self.next()
 
-    def keyword(self, keys: tuple[str, ...], what: Optional[str] = None) -> Token:
+    def keyword(self, keys: tuple[str, ...], what: Optional[str] = None) -> str:
         """The next identifier, which must be one of keys."""
-        tok = self.ident(what or _one_of(keys))
+        tok = self.take("IDENT", what or _one_of(keys))
         if tok.text not in keys:
-            raise self.fail(f"expected {_one_of(keys)}, found {tok.text!r}", tok)
-        return tok
+            raise _error(f"expected {_one_of(keys)}, found {tok.text!r}", tok)
+        return tok.text
 
     def integer(self, what: str) -> tuple[int, Token]:
-        if self.peek().kind != "INT":
-            raise self.unexpected(what)
-        tok = self.next()
+        tok = self.take("INT", what)
         return int(tok.text), tok
 
     # -- expressions -----------------------------------------------------
 
-    def parse_expr(self) -> RawExpr:
-        terms: list[RawTerm] = []
-        sign = Fraction(1)
-        if self.at_punct("+") or self.at_punct("-"):
-            if self.next().text == "-":
-                sign = Fraction(-1)
-        terms.append(self.parse_term(sign))
-        while self.at_punct("+") or self.at_punct("-"):
-            sign = Fraction(1) if self.next().text == "+" else Fraction(-1)
+    def parse_expr(self) -> tuple:
+        """A signed sum of terms; only the first may leave out its sign."""
+        terms = []
+        while not terms or self.at("+") or self.at("-"):
+            sign = Fraction(1)
+            if self.at("+") or self.at("-"):
+                sign = Fraction(-1 if self.next().text == "-" else 1)
             terms.append(self.parse_term(sign))
-        return RawExpr(tuple(terms))
+        return tuple(terms)
 
-    def parse_term(self, sign: Fraction) -> RawTerm:
-        coeff = sign
-        factors: list[RawFactor] = []
+    def parse_term(self, coefficient: Fraction) -> tuple:
         if self.peek().kind == "INT":
-            num, _ = self.integer("coefficient")
-            coeff *= num
-            if self.at_punct("/"):
-                self.next()
+            coefficient *= int(self.next().text)
+            if self.accept("/"):
                 den, dtok = self.integer("denominator")
                 if den == 0:
-                    raise self.fail("zero denominator", dtok)
-                coeff /= den
-            if self.at_punct("*"):
-                self.next()
-                factors = self.parse_factors()
-        elif self.peek().kind == "IDENT":
-            factors = self.parse_factors()
-        else:
+                    raise _error("zero denominator", dtok)
+                coefficient /= den
+            if not self.accept("*"):
+                return coefficient, ()
+        elif self.peek().kind != "IDENT":
             raise self.unexpected("a term")
-        return RawTerm(coeff, tuple(factors))
-
-    def parse_factors(self) -> list[RawFactor]:
         factors = [self.parse_factor()]
-        while self.at_punct("*"):
-            self.next()
+        while self.accept("*"):
             factors.append(self.parse_factor())
-        return factors
+        return coefficient, tuple(factors)
 
-    def parse_factor(self) -> RawFactor:
-        tok = self.ident("a generator name")
-        exp = 1
-        if self.at_punct("^"):
-            self.next()
-            exp, etok = self.integer("exponent")
-            if exp < 1:
-                raise self.fail("exponent must be positive", etok)
-        return RawFactor(tok.text, exp, tok.line, tok.col)
+    def parse_factor(self) -> tuple[Token, int]:
+        tok = self.take("IDENT", "a generator name")
+        if not self.accept("^"):
+            return tok, 1
+        exponent, etok = self.integer("exponent")
+        if exponent < 1:
+            raise _error("exponent must be positive", etok)
+        return tok, exponent
 
 
 @dataclass(frozen=True)
-class GenDecl:
-    name: str
-    degree: int
-    line: int
-    col: int
+class _Statement:
+    name: Token  # the declared or assigned name as written: a position for errors
+    value: object  # a degree, or an expression's terms
     alias: Optional[str] = None  # suspension name of a biquotient middle generator
 
 
-@dataclass(frozen=True)
-class DiffDecl:
-    gen_name: str
-    expr: RawExpr
-    line: int
-    col: int
+# Each document type's `forms` maps a body keyword to its statement form: the
+# token kind of the name, what the name is called in errors, and the
+# separator after it.  A degree follows ':', an
+# expression follows '=' or '->'.  Only a middle generator, key 'v', may name
+# its suspension with a trailing `as NAME`.  A morphism statement starts
+# with its name, so its one form has the empty key.
+_DECLARE = ("IDENT", "a generator name", ":")
+_ASSIGN = ("IDENT", "a generator name", "=")
+_RESTRICT = ("IDENT", "a middle generator name", "=")
 
 
-def _declare(decls: list[GenDecl], env: dict[str, Generator], noun: str) -> tuple[Generator, ...]:
+def _parse_body(parser: _Parser, forms: Mapping[str, tuple[str, str, str]]) -> dict:
+    """A `{ ... }` body: its statements by key, each list in text order."""
+    body: dict[str, list[_Statement]] = {key: [] for key in forms}
+    parser.expect("{")
+    while not parser.at("}"):
+        key = "" if "" in forms else parser.keyword(tuple(forms))
+        kind, what, separator = forms[key]
+        name = parser.take(kind, what)
+        parser.expect(separator)
+        alias = None
+        if separator == ":":
+            value, _ = parser.integer("a degree")
+            if key == "v" and parser.accept("as"):
+                alias = parser.take("IDENT", "a suspension name").text
+        else:
+            value = parser.parse_expr()
+        parser.expect(";")
+        body[key].append(_Statement(name, value, alias))
+    parser.expect("}")
+    return body
+
+
+def _declare(
+    statements: list[_Statement], env: dict[str, Generator], noun: str
+) -> tuple[Generator, ...]:
     """The declared generators, also entered into env, where no name may be yet."""
-    out = []
-    for decl in decls:
-        if decl.name in env:
-            raise DslError(f"{noun} {decl.name!r} declared twice", decl.line, decl.col)
-        if decl.degree < 1:
-            raise DslError(
-                f"generator degree must be >= 1, got {decl.degree}", decl.line, decl.col
-            )
-        env[decl.name] = Generator(decl.name, decl.degree)
-        out.append(env[decl.name])
-    return tuple(out)
+    for s in statements:
+        if s.name.text in env:
+            raise _error(f"{noun} {s.name.text!r} declared twice", s.name)
+        if s.value < 1:
+            raise _error(f"generator degree must be >= 1, got {s.value}", s.name)
+        env[s.name.text] = Generator(s.name.text, s.value)
+    return tuple(env[s.name.text] for s in statements)
 
 
 def _assign(
-    decls: list[DiffDecl],
-    targets: Mapping[str, Generator],
+    statements: list[_Statement],
+    target: Callable,
     env: Mapping[str, Generator],
     unknown: str,
     twice: str,
-) -> dict[Generator, Polynomial]:
-    """Assigned generators of targets -> expressions over env; the error
-    texts unknown and twice are formatted with the assigned name."""
-    out: dict[Generator, Polynomial] = {}
-    for decl in decls:
-        g = targets.get(decl.gen_name)
-        if g is None:
-            raise DslError(unknown.format(decl.gen_name), decl.line, decl.col)
-        if g in out:
-            raise DslError(twice.format(decl.gen_name), decl.line, decl.col)
-        out[g] = decl.expr.resolve(env)
+    key: Callable = str,
+) -> dict:
+    """What each statement assigns -> its expression resolved over env.
+    target takes key(the statement's name) to what it assigns, or to None;
+    the error texts unknown and twice are formatted with that key."""
+    out: dict = {}
+    for s in statements:
+        k = key(s.name.text)
+        assigned = target(k)
+        if assigned is None:
+            raise _error(unknown.format(k), s.name)
+        if assigned in out:
+            raise _error(twice.format(k), s.name)
+        out[assigned] = _resolve(s.value, env)
     return out
 
 
+def _by_name(gens: tuple[Generator, ...]) -> dict[str, Generator]:
+    return {g.name: g for g in gens}
+
+
 @dataclass
-class ModelDocument:
-    name: str
-    gens: list[GenDecl]
-    diffs: list[DiffDecl]
+class _Document:
+    head: Token  # the document's name as written
+    body: dict[str, list[_Statement]]
+    header: tuple[Token, ...] = ()  # a morphism's source and target model names
+
+    @property
+    def name(self) -> str:
+        return self.head.text
+
+
+class ModelDocument(_Document):
+    forms = {"gen": _DECLARE, "d": _ASSIGN}
 
     def to_model(self) -> FreeCDGA:
         env: dict[str, Generator] = {}
-        gens = _declare(self.gens, env, "generator")
+        gens = _declare(self.body["gen"], env, "generator")
         diff = _assign(
-            self.diffs, env, env, "unknown generator {!r}", "differential of {!r} assigned twice"
+            self.body["d"],
+            env.get,
+            env,
+            "unknown generator {!r}",
+            "differential of {!r} assigned twice",
         )
         return FreeCDGA(gens, diff)
 
 
-@dataclass
-class MorphismDocument:
-    name: str
-    source_name: str
-    target_name: str
-    assignments: list[DiffDecl]
-    line: int
-    col: int
+class MorphismDocument(_Document):
+    forms = {"": ("IDENT", "a source generator name", "->")}
+
+    @property
+    def source_name(self) -> str:
+        return self.header[0].text
+
+    @property
+    def target_name(self) -> str:
+        return self.header[1].text
 
     def to_morphism(self, models: Mapping[str, FreeCDGA]) -> Morphism:
-        if self.source_name not in models:
-            raise DslError(f"unknown source model {self.source_name!r}", self.line, self.col)
-        if self.target_name not in models:
-            raise DslError(f"unknown target model {self.target_name!r}", self.line, self.col)
-        source = models[self.source_name]
-        target = models[self.target_name]
+        for end, tok in zip(("source", "target"), self.header):
+            if tok.text not in models:
+                raise _error(f"unknown {end} model {tok.text!r}", self.head)
+        source, target = (models[tok.text] for tok in self.header)
         images = _assign(
-            self.assignments,
-            {g.name: g for g in source.generators},
-            {g.name: g for g in target.generators},
+            self.body[""],
+            _by_name(source.generators).get,
+            _by_name(target.generators),
             "unknown source generator {!r}",
             "image of {!r} assigned twice",
         )
         return Morphism(source, target, images)
 
 
-@dataclass
-class BiquotientDocument:
-    name: str
-    wh: list[GenDecl]
-    wk: list[GenDecl]
-    v: list[GenDecl]
-    phi_h: list[DiffDecl]
-    phi_k: list[DiffDecl]
+class BiquotientDocument(_Document):
+    forms = {"wh": _DECLARE, "wk": _DECLARE, "v": _DECLARE, "phiH": _RESTRICT, "phiK": _RESTRICT}
 
     def to_classifying_data(self) -> ClassifyingData:
         seen: dict[str, Generator] = {}
-        wh = _declare(self.wh, seen, "name")
-        wk = _declare(self.wk, seen, "name")
-        v = _declare(self.v, seen, "name")
-        v_by_name = {g.name: g for g in v}
+        wh, wk, v = (_declare(self.body[key], seen, "name") for key in ("wh", "wk", "v"))
 
-        def restriction(decls: list[DiffDecl], side: tuple[Generator, ...], label: str):
+        def restriction(key: str, side: tuple[Generator, ...]):
             return _assign(
-                decls,
-                v_by_name,
-                {g.name: g for g in side},
-                label + " assigned to unknown middle generator {!r}",
-                label + "({}) assigned twice",
+                self.body[key],
+                _by_name(v).get,
+                _by_name(side),
+                key + " assigned to unknown middle generator {!r}",
+                key + "({}) assigned twice",
             )
 
-        return ClassifyingData(
-            wh=wh,
-            wk=wk,
-            v=v,
-            phi_h=restriction(self.phi_h, wh, "phiH"),
-            phi_k=restriction(self.phi_k, wk, "phiK"),
-            suspension_names={g: d.alias for d, g in zip(self.v, v) if d.alias is not None},
-        )
+        phi_h, phi_k = restriction("phiH", wh), restriction("phiK", wk)
+        aliases = {g: s.alias for s, g in zip(self.body["v"], v) if s.alias is not None}
+        return ClassifyingData(wh, wk, v, phi_h, phi_k, suspension_names=aliases)
 
 
-@dataclass
-class PontryaginDocument:
-    name: str
-    entries: list[tuple[int, RawExpr, int, int]]
+class PontryaginDocument(_Document):
+    forms = {"p": ("INT", "a class index", "=")}
 
     def to_data(self, base: FreeCDGA, rank: int) -> PontryaginData:
-        env = {g.name: g for g in base.generators}
+        assigned = _assign(
+            self.body["p"],
+            lambda i: i if 1 <= i <= rank else None,
+            _by_name(base.generators),
+            f"class index {{}} outside 1..{rank}",
+            "class p_{} assigned twice",
+            int,
+        )
         classes = [Polynomial.zero()] * rank
-        seen: set[int] = set()
-        for idx, expr, line, col in self.entries:
-            if idx < 1 or idx > rank:
-                raise DslError(f"class index {idx} outside 1..{rank}", line, col)
-            if idx in seen:
-                raise DslError(f"class p_{idx} assigned twice", line, col)
-            seen.add(idx)
-            classes[idx - 1] = expr.resolve(env)
+        for i, p in assigned.items():
+            classes[i - 1] = p
         return PontryaginData(base=base, rank=rank, classes=tuple(classes))
 
 
@@ -393,106 +403,34 @@ class Source:
         return next(iter(table.values()))
 
 
+# Document keyword -> (Source table, document type).
+_DOCUMENTS = {
+    "model": ("models", ModelDocument),
+    "morphism": ("morphisms", MorphismDocument),
+    "biquotient": ("biquotients", BiquotientDocument),
+    "pontryagin": ("pontryagin", PontryaginDocument),
+}
+
+
 def parse_source(text: str) -> Source:
     parser = _Parser(_lex(text))
     source = Source()
     while parser.peek().kind != "EOF":
-        head = parser.keyword(tuple(_DOCUMENTS), "a document keyword")
-        table_name, parse_body = _DOCUMENTS[head.text]
-        name_tok = parser.ident(f"a {head.text} name")
+        kind = parser.keyword(tuple(_DOCUMENTS), "a document keyword")
+        table_name, document = _DOCUMENTS[kind]
+        head = parser.take("IDENT", f"a {kind} name")
+        header: tuple[Token, ...] = ()
+        if kind == "morphism":
+            parser.expect(":")
+            src = parser.take("IDENT", "a source model name")
+            parser.expect("->")
+            header = (src, parser.take("IDENT", "a target model name"))
+        doc = document(head, _parse_body(parser, document.forms), header)
         table = getattr(source, table_name)
-        doc = parse_body(parser, name_tok)
-        if name_tok.text in table:
-            raise parser.fail(f"document {name_tok.text!r} defined twice", name_tok)
-        table[name_tok.text] = doc
+        if head.text in table:
+            raise _error(f"document {head.text!r} defined twice", head)
+        table[head.text] = doc
     return source
-
-
-# Statement forms of the model and biquotient bodies: a key followed by ':'
-# declares a generator (KEY NAME : INT ;), a key followed by '=' assigns an
-# expression to one (KEY NAME = EXPR ;).  Only a biquotient's middle
-# generators, key 'v', may name their suspension with a trailing `as NAME`.
-# The keys are in the field order of the document a body makes.
-_MODEL_FORMS = {"gen": ":", "d": "="}
-_BIQUOTIENT_FORMS = {"wh": ":", "wk": ":", "v": ":", "phiH": "=", "phiK": "="}
-
-
-def _parse_statements(
-    parser: _Parser, forms: Mapping[str, str], assigned: str = "a generator name"
-) -> list[list]:
-    """A `{ ... }` body: one list of GenDecls or DiffDecls per key, in key order.
-    assigned names what an assignment's name must be, for errors."""
-    keys = tuple(forms)
-    out: dict[str, list] = {key: [] for key in keys}
-    parser.expect("{")
-    while not parser.at_punct("}"):
-        key = parser.keyword(keys).text
-        gen_tok = parser.ident("a generator name" if forms[key] == ":" else assigned)
-        parser.expect(forms[key])
-        if forms[key] == ":":
-            degree, _ = parser.integer("a degree")
-            alias: Optional[str] = None
-            if key == "v" and parser.peek().text == "as":
-                parser.next()
-                alias = parser.ident("a suspension name").text
-            out[key].append(GenDecl(gen_tok.text, degree, gen_tok.line, gen_tok.col, alias))
-        else:
-            expr = parser.parse_expr()
-            out[key].append(DiffDecl(gen_tok.text, expr, gen_tok.line, gen_tok.col))
-        parser.expect(";")
-    parser.expect("}")
-    return list(out.values())
-
-
-def _parse_model_body(parser: _Parser, name_tok: Token) -> ModelDocument:
-    return ModelDocument(name_tok.text, *_parse_statements(parser, _MODEL_FORMS))
-
-
-def _parse_biquotient_body(parser: _Parser, name_tok: Token) -> BiquotientDocument:
-    body = _parse_statements(parser, _BIQUOTIENT_FORMS, "a middle generator name")
-    return BiquotientDocument(name_tok.text, *body)
-
-
-def _parse_morphism_body(parser: _Parser, name_tok: Token) -> MorphismDocument:
-    parser.expect(":")
-    src = parser.ident("a source model name")
-    parser.expect("->")
-    dst = parser.ident("a target model name")
-    parser.expect("{")
-    doc = MorphismDocument(
-        name_tok.text, src.text, dst.text, [], name_tok.line, name_tok.col
-    )
-    while not parser.at_punct("}"):
-        gen_tok = parser.ident("a source generator name")
-        parser.expect("->")
-        expr = parser.parse_expr()
-        parser.expect(";")
-        doc.assignments.append(DiffDecl(gen_tok.text, expr, gen_tok.line, gen_tok.col))
-    parser.expect("}")
-    return doc
-
-
-def _parse_pontryagin_body(parser: _Parser, name_tok: Token) -> PontryaginDocument:
-    parser.expect("{")
-    doc = PontryaginDocument(name_tok.text, [])
-    while not parser.at_punct("}"):
-        parser.keyword(("p",))
-        idx, itok = parser.integer("a class index")
-        parser.expect("=")
-        expr = parser.parse_expr()
-        parser.expect(";")
-        doc.entries.append((idx, expr, itok.line, itok.col))
-    parser.expect("}")
-    return doc
-
-
-# Document keyword -> (Source table, body parser).
-_DOCUMENTS = {
-    "model": ("models", _parse_model_body),
-    "morphism": ("morphisms", _parse_morphism_body),
-    "biquotient": ("biquotients", _parse_biquotient_body),
-    "pontryagin": ("pontryagin", _parse_pontryagin_body),
-}
 
 
 # -- convenience entry points -------------------------------------------
@@ -511,9 +449,8 @@ def parse_morphism(text: str) -> Morphism:
     morphism = doc.to_morphism(source.resolved_models())
     violations = compose_and_check(morphism)
     if violations:
-        raise DslError(
-            f"morphism {doc.name!r} is not a CDGA map: " + "; ".join(violations), doc.line, doc.col
-        )
+        message = f"morphism {doc.name!r} is not a CDGA map: " + "; ".join(violations)
+        raise _error(message, doc.head)
     return morphism
 
 
@@ -530,24 +467,21 @@ def parse_pontryagin(text: str, base: FreeCDGA, rank: int) -> PontryaginData:
 def parse_expression(text: str, gens: Mapping[str, Generator]) -> Polynomial:
     """A standalone expression over the given generators."""
     parser = _Parser(_lex(text))
-    expr = parser.parse_expr()
+    terms = parser.parse_expr()
     if parser.peek().kind != "EOF":
-        raise parser.fail(f"unexpected trailing input {parser.peek().text!r}")
-    return expr.resolve(gens)
+        raise _error(f"unexpected trailing input {parser.peek().text!r}", parser.peek())
+    return _resolve(terms, gens)
 
 
 def check_document(doc: ModelDocument) -> list[str]:
     """Validation diagnostics for a model document, tagged with positions.
 
     Each violation names a generator with a nonzero differential and is
-    placed at that generator's d declaration, so the offending line is part
+    placed at that generator's d statement, so the offending line is part
     of the message.
     """
-    decls = {decl.gen_name: decl for decl in doc.diffs}
-    return [
-        str(DslError(violation, decls[g.name].line, decls[g.name].col))
-        for g, violation in _violations(doc.to_model())
-    ]
+    names = {s.name.text: s.name for s in doc.body["d"]}
+    return [str(_error(violation, names[g.name])) for g, violation in _violations(doc.to_model())]
 
 
 def render_model(model: FreeCDGA, name: str = "M") -> str:
@@ -584,16 +518,11 @@ def render_classifying(data: ClassifyingData, name: str = "B") -> str:
     equal ClassifyingData provided the input also omits them.
     """
     lines = [f"biquotient {name} {{"]
-    for g in data.wh:
-        lines.append(f"  wh {g.name} : {g.degree};")
-    for g in data.wk:
-        lines.append(f"  wk {g.name} : {g.degree};")
-    for g in data.v:
-        suffix = ""
-        sname = data.suspension_names.get(g)
-        if sname is not None:
-            suffix = f" as {sname}"
-        lines.append(f"  v {g.name} : {g.degree}{suffix};")
+    for key, gens in (("wh", data.wh), ("wk", data.wk), ("v", data.v)):
+        for g in gens:
+            alias = data.suspension_names.get(g) if key == "v" else None
+            suffix = "" if alias is None else f" as {alias}"
+            lines.append(f"  {key} {g.name} : {g.degree}{suffix};")
     for label, phi in (("phiH", data.phi_h), ("phiK", data.phi_k)):
         for g in data.v:
             img = phi.get(g)

@@ -91,6 +91,11 @@ CASES = [
         ("DegreeMismatchError", "p_2 = x4^2 is nonzero, but the bundle has rank 1"),
     ),
     (
+        "projectivize-base-not-a-cdga",
+        lambda: projectivize(PontryaginData(D_SQUARED_NONZERO, 1, ())),
+        ("ValueError", "base is not a CDGA: d(d(c4)) = a2^3 is nonzero"),
+    ),
+    (
         "biquotient_model",
         lambda: biquotient_model(
             ClassifyingData((a4,), (b4,), (v4,), phi_h={v4: Polynomial.gen(b4) + Z4})
