@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from sullivan.cdga import FreeCDGA
+from sullivan.cdga import FreeCDGA, validate
 from sullivan.cohomology import (
     RingPresentation,
     betti,
@@ -59,14 +59,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_model(path: str) -> tuple[ModelDocument, FreeCDGA]:
-    """Parse and fully validate the single model document of a file."""
+    """Parse, resolve and fully validate the single model document of a file."""
     doc = parse_model(_read_text(path))
-    problems = check_document(doc)
-    if problems:
-        for line in problems:
+    model = doc.to_model()
+    if validate(model):
+        for line in check_document(doc):
             print(f"{path}: {line}", file=sys.stderr)
         raise _InputFailure()
-    return doc, doc.to_model()
+    return doc, model
 
 
 def _print_betti_text(report, label: str) -> None:

@@ -55,25 +55,18 @@ def hp_model(n: int, prefix: str = "x") -> FreeCDGA:
 class PontryaginData:
     """Base model plus the characteristic cocycles of a rank-n bundle.
 
-    classes[i] is the degree 4(i+1) cocycle p_{i+1}; entries may be zero and
-    a short list is padded with zeros.  A rank-n bundle has no nonzero p_i
-    with i > n.
+    classes maps i to the degree 4i cocycle p_i.  A class left out is zero,
+    and zero entries are dropped; the rest are kept in index order.  A
+    rank-n bundle has no nonzero p_i with i > n.
     """
 
     base: FreeCDGA
     rank: int
-    classes: tuple[Polynomial, ...] = ()
+    classes: Mapping[int, Polynomial] = field(default_factory=dict)
 
-    def padded_classes(self) -> list[Polynomial]:
-        for i, p in enumerate(self.classes[self.rank :], start=self.rank + 1):
-            if not p.is_zero():
-                raise DegreeMismatchError(
-                    f"p_{i} = {p} is nonzero, but the bundle has rank {self.rank}"
-                )
-        out = list(self.classes[: self.rank])
-        while len(out) < self.rank:
-            out.append(Polynomial.zero())
-        return out
+    def __post_init__(self) -> None:
+        classes = {i: p for i, p in sorted(self.classes.items()) if not p.is_zero()}
+        object.__setattr__(self, "classes", classes)
 
 
 def projectivize(data: PontryaginData) -> FreeCDGA:
@@ -95,9 +88,11 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
     x = Generator(fresh_name("x4", taken), 4)
     top = Generator(fresh_name(f"x{4 * n - 1}", taken), 4 * n - 1)
     d_top = Polynomial.gen(x) ** n
-    for i, p in enumerate(data.padded_classes(), start=1):
-        if p.is_zero():
-            continue
+    for i, p in data.classes.items():
+        if not 1 <= i <= n:
+            bound = f"the bundle has rank {n}" if i > n else "classes are indexed from 1"
+            raise DegreeMismatchError(f"p_{i} = {p} is nonzero, but {bound}")
+    for i, p in data.classes.items():
         names = unknown_names(p, base.generators)
         if names:
             raise UnknownGeneratorError(
@@ -122,9 +117,10 @@ class ClassifyingData:
 
     wh and wk are the polynomial generators of the two side factors, v the
     generators of the middle algebra.  phi_h sends each v-generator into
-    the algebra on wh, phi_k into the algebra on wk.  suspension_names may
-    pick the name of the degree-lowered copy of each v-generator; the
-    default is "s" + name.
+    the algebra on wh, phi_k into the algebra on wk.  A restriction left
+    out is zero, and zero entries are dropped.  suspension_names may pick
+    the name of the degree-lowered copy of each v-generator; the default
+    is "s" + name.
     """
 
     wh: tuple[Generator, ...]
@@ -133,6 +129,11 @@ class ClassifyingData:
     phi_h: Mapping[Generator, Polynomial] = field(default_factory=dict)
     phi_k: Mapping[Generator, Polynomial] = field(default_factory=dict)
     suspension_names: Mapping[Generator, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for side in ("phi_h", "phi_k"):
+            phi = getattr(self, side)
+            object.__setattr__(self, side, {g: p for g, p in phi.items() if not p.is_zero()})
 
 
 def biquotient_model(data: ClassifyingData) -> FreeCDGA:
@@ -153,8 +154,6 @@ def biquotient_model(data: ClassifyingData) -> FreeCDGA:
         for g, img in phi.items():
             if g not in v_set:
                 raise UnknownGeneratorError(f"{side} assigned to non-middle generator {g.name}")
-            if img.is_zero():
-                continue
             stray = unknown_names(img, allowed)
             if stray:
                 raise UnknownGeneratorError(

@@ -364,7 +364,7 @@ class PontryaginDocument(_Document):
     forms = {"p": ("INT", "a class index", "=")}
 
     def to_data(self, base: FreeCDGA, rank: int) -> PontryaginData:
-        assigned = _assign(
+        classes = _assign(
             self.body["p"],
             lambda i: i if 1 <= i <= rank else None,
             _by_name(base.generators),
@@ -372,10 +372,7 @@ class PontryaginDocument(_Document):
             "class p_{} assigned twice",
             int,
         )
-        classes = [Polynomial.zero()] * rank
-        for i, p in assigned.items():
-            classes[i - 1] = p
-        return PontryaginData(base=base, rank=rank, classes=tuple(classes))
+        return PontryaginData(base=base, rank=rank, classes=classes)
 
 
 @dataclass
@@ -512,11 +509,8 @@ def render_morphism(
 
 
 def render_classifying(data: ClassifyingData, name: str = "B") -> str:
-    """Render classifying data as a biquotient document (round-trips).
-
-    Zero restriction images are omitted; parsing the result gives back
-    equal ClassifyingData provided the input also omits them.
-    """
+    """Render classifying data as a biquotient document; parsing it back
+    gives equal ClassifyingData."""
     lines = [f"biquotient {name} {{"]
     for key, gens in (("wh", data.wh), ("wk", data.wk), ("v", data.v)):
         for g in gens:
@@ -525,18 +519,16 @@ def render_classifying(data: ClassifyingData, name: str = "B") -> str:
             lines.append(f"  {key} {g.name} : {g.degree}{suffix};")
     for label, phi in (("phiH", data.phi_h), ("phiK", data.phi_k)):
         for g in data.v:
-            img = phi.get(g)
-            if img is not None and not img.is_zero():
-                lines.append(f"  {label} {g.name} = {img};")
+            if g in phi:
+                lines.append(f"  {label} {g.name} = {phi[g]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def render_pontryagin(data: PontryaginData, name: str = "P") -> str:
-    """Render the nonzero characteristic classes as a pontryagin document."""
+    """Render the characteristic classes as a pontryagin document."""
     lines = [f"pontryagin {name} {{"]
-    for i, p in enumerate(data.padded_classes(), start=1):
-        if not p.is_zero():
-            lines.append(f"  p {i} = {p};")
+    for i, p in data.classes.items():
+        lines.append(f"  p {i} = {p};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -151,9 +151,7 @@ def classifying_data(
     """Build the classifying configuration of a case.
 
     n defaults per case (thm34 accepts none); betas override the free
-    coefficients where the case has any.  Middle generators whose
-    restriction image is zero are omitted from the maps, matching the
-    shipped document files.
+    coefficients where the case has any.
     """
     n = resolve_n(case, n)
     if case in ("thm34", "prop31") and betas is not None:
@@ -204,16 +202,8 @@ def _prop32_data(n: int, betas: tuple[Fraction, ...]) -> ClassifyingData:
             return Polynomial.gen(bs[i - 1])
         return Polynomial.zero()
 
-    phi_h = {}
-    for i, a in enumerate(middles, start=1):
-        img = px * b_poly(i - 1) + b_poly(i)
-        if not img.is_zero():
-            phi_h[a] = img
-    phi_k = {
-        a: beta * pc**i
-        for i, (a, beta) in enumerate(zip(middles, betas), start=1)
-        if beta != 0
-    }
+    phi_h = {a: px * b_poly(i - 1) + b_poly(i) for i, a in enumerate(middles, start=1)}
+    phi_k = {a: beta * pc**i for i, (a, beta) in enumerate(zip(middles, betas), start=1)}
     suspension_names = {a: f"a{a.degree - 1}" for a in middles}
     return ClassifyingData(
         wh=(x4,) + bs, wk=(c4,), v=middles, phi_h=phi_h, phi_k=phi_k,
@@ -227,11 +217,7 @@ def _thm33_data(n: int, coefficients: tuple[Fraction, ...]) -> ClassifyingData:
     middles = tuple(Generator(f"y{4 * i}", 4 * i) for i in range(1, 2 * n + 1))
     pb = Polynomial.gen(b4)
     phi_h = {y: Polynomial.gen(z) for y, z in zip(middles, zs)}
-    phi_k = {
-        y: c * pb**i
-        for i, (y, c) in enumerate(zip(middles, coefficients), start=1)
-        if c != 0
-    }
+    phi_k = {y: c * pb**i for i, (y, c) in enumerate(zip(middles, coefficients), start=1)}
     suspension_names = {y: f"v{y.degree - 1}" for y in middles}
     return ClassifyingData(
         wh=zs, wk=(b4,), v=middles, phi_h=phi_h, phi_k=phi_k,
@@ -253,9 +239,7 @@ def pontryagin_setup(case: str, n: Optional[int] = None) -> PontryaginData:
     if case != "thm33":
         raise ValueError(f"case {case} has no projectivization side")
     base = sphere_model(4 * n)
-    top_class = Polynomial.gen(base.gen(f"a{4 * n}"))
-    classes = tuple(Polynomial.zero() for _ in range(n - 1)) + (top_class,)
-    return PontryaginData(base=base, rank=n, classes=classes)
+    return PontryaginData(base=base, rank=n, classes={n: Polynomial.gen(base.gen(f"a{4 * n}"))})
 
 
 def comparison_morphism(case: str, n: Optional[int] = None) -> Morphism:

@@ -82,14 +82,6 @@ class CaseReport:
         return all(c.ok for c in self.checks)
 
 
-def _check(name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, ok=bool(ok), detail=detail)
-
-
-def _betti_dict(model: FreeCDGA, max_degree: int) -> dict[int, int]:
-    return betti(model, max_degree).nonzero()
-
-
 def _h0_dims(model: FreeCDGA, max_degree: int) -> dict[int, int]:
     """Nonzero graded dimensions up to max_degree of H_0 of a pure model."""
     pres = RingPresentation(
@@ -107,8 +99,8 @@ def _input_betti(log: ReductionLog, max_degree: int) -> dict[int, int]:
 
 def _expect_equal(name: str, got, want) -> CheckResult:
     if got == want:
-        return _check(name, True, f"{got}")
-    return _check(name, False, f"got {got}, expected {want}")
+        return CheckResult(name, True, f"{got}")
+    return CheckResult(name, False, f"got {got}, expected {want}")
 
 
 def _diff_summary(model: FreeCDGA) -> dict[str, str]:
@@ -144,7 +136,7 @@ def _reduction_check(
     )
     final = ", ".join(f"d{g} = {v}" for g, v in got.items())
     final = f", {final}" if final else " with zero differential"
-    return _check(name, ok, f"{log.render()}\nfinal generators {names}{final}")
+    return CheckResult(name, ok, f"{log.render()}\nfinal generators {names}{final}")
 
 
 def _quasi_iso_check(f: Morphism, max_degree: int, correction: str) -> CheckResult:
@@ -153,18 +145,18 @@ def _quasi_iso_check(f: Morphism, max_degree: int, correction: str) -> CheckResu
     try:
         qi = is_quasi_iso(f, max_degree)
     except ValueError as e:
-        return _check("quasi-iso", False, str(e))
+        return CheckResult("quasi-iso", False, str(e))
     if qi.ok:
         images = ", ".join(
             f"{g.name} -> {f.images[g]}" for g in f.source.generators if g in f.images
         )
-        return _check(
+        return CheckResult(
             "quasi-iso",
             True,
             f"quasi-isomorphism up to degree {max_degree} with the sign "
             f"correction recorded in {correction} (images {images})",
         )
-    return _check("quasi-iso", False, f"failing degrees {qi.failing_degrees()}")
+    return CheckResult("quasi-iso", False, f"failing degrees {qi.failing_degrees()}")
 
 
 def _evidence_check(case: str) -> CheckResult:
@@ -194,7 +186,7 @@ def _evidence_check(case: str) -> CheckResult:
             good, note = verbatim_map, str(e)
         ok = ok and good
         lines.append(f"{d.key}: {d.evidence} -> {note}")
-    return _check("discrepancy-evidence", ok, "\n".join(lines) or "none recorded")
+    return CheckResult("discrepancy-evidence", ok, "\n".join(lines) or "none recorded")
 
 
 # -- thm34 ----------------------------------------------------------------
@@ -204,7 +196,7 @@ def _thm34_checks(_: None) -> Iterator[CheckResult]:
     f = comparison_morphism("thm34")
     pe = projectivize(pontryagin_setup("thm34"))
     yield _expect_equal("pe-model", _diff_summary(pe), _diff_summary(f.target))
-    yield _expect_equal("pe-betti", _betti_dict(pe, 16), THM34_BETTI)
+    yield _expect_equal("pe-betti", betti(pe, 16).nonzero(), THM34_BETTI)
     yield _expect_equal("presentation-dims", _h0_dims(pe, 16), THM34_BETTI)
 
     biq = biquotient_model(classifying_data("thm34"))
@@ -258,10 +250,10 @@ def _prop31_checks(n: int) -> Iterator[CheckResult]:
     )
     yield _reduction_check("reduction", reduced, log, ("z3", "a4"), {})
 
-    final_betti = _betti_dict(reduced, 8)
+    final_betti = betti(reduced, 8).nonzero()
     conflict_recorded = any(d.key == "contractibility" for d in discrepancies("prop31"))
     nontrivial = final_betti.get(3) == 1 and final_betti.get(4) == 1
-    yield _check(
+    yield CheckResult(
         "contractibility-conflict",
         nontrivial and conflict_recorded,
         "final model has betti(3) = betti(4) = 1, so it is not "
@@ -300,7 +292,7 @@ def _prop32_checks(n: int) -> Iterator[CheckResult]:
         renamed = rename_generators(reduced, mapping)
         got = _model_summary(renamed)
         want = _model_summary(comparison_morphism("thm34").source)
-        yield _check(
+        yield CheckResult(
             "matches-thm34",
             got == want,
             "renaming b4 -> a4, c4 -> b4, a7 -> v7, a11 -> v11 "
@@ -315,7 +307,7 @@ def _prop32_checks(n: int) -> Iterator[CheckResult]:
 # -- dimension law --------------------------------------------------------
 
 
-def _lh_pontryagin_choices(base: FreeCDGA, rank: int) -> list[tuple[str, tuple[Polynomial, ...]]]:
+def _lh_pontryagin_choices(base: FreeCDGA, rank: int) -> list[tuple[str, dict[int, Polynomial]]]:
     """Several valid characteristic-cocycle choices over a catalog base.
 
     Every closed generator power of the right degree is a cocycle, so the
@@ -333,12 +325,9 @@ def _lh_pontryagin_choices(base: FreeCDGA, rank: int) -> list[tuple[str, tuple[P
                 return scale * Polynomial.gen(g) ** (degree // g.degree)
         return Polynomial.zero()
 
-    zero = tuple(Polynomial.zero() for _ in range(rank))
-    plain = tuple(cocycle(4 * i, Fraction(1)) for i in range(1, rank + 1))
-    mixed = tuple(
-        cocycle(4 * i, Fraction((-1) ** i * (i + 1), 3)) for i in range(1, rank + 1)
-    )
-    return [("zero", zero), ("plain", plain), ("mixed", mixed)]
+    plain = {i: cocycle(4 * i, Fraction(1)) for i in range(1, rank + 1)}
+    mixed = {i: cocycle(4 * i, Fraction((-1) ** i * (i + 1), 3)) for i in range(1, rank + 1)}
+    return [("zero", {}), ("plain", plain), ("mixed", mixed)]
 
 
 def run_dimension_law() -> CaseReport:
@@ -359,7 +348,7 @@ def run_dimension_law() -> CaseReport:
                 pe = projectivize(PontryaginData(base=base, rank=rank, classes=classes))
                 total = betti(pe, max_degree).total_dim()
                 checks.append(
-                    _check(
+                    CheckResult(
                         f"{base_name}-rank{rank}-{choice}",
                         total == rank * base_total,
                         f"total betti {total} = {rank} x {base_total}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 from sullivan.cdga import FreeCDGA, apply_d
@@ -219,3 +220,16 @@ def random_reducible_model(rng: random.Random) -> FreeCDGA:
 
 def total_dim(betti_map) -> int:
     return sum(betti_map.values())
+
+
+def within_memory(run, limit=1 << 20):
+    """run()'s result, asserting that its allocations peak below limit bytes:
+    a guard against work sized by a parameter, such as a bundle rank, that
+    the answer does not grow with."""
+    tracemalloc.start()
+    try:
+        return run()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < limit, f"allocations peaked at {peak} bytes"

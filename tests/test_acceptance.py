@@ -166,14 +166,14 @@ def test_criterion_4_specialization_reproduces_the_four_generator_model():
 def _pontryagin_choices(base, rank):
     """Zero data, plain powers of the degree-4 class, and scaled powers."""
     x = next((g for g in base.generators if g.degree == 4), None)
-    zero = tuple(Polynomial.zero() for _ in range(rank))
+    zero = {}
     choices = [zero]
     if x is not None:
-        plain = tuple(Polynomial.gen(x) ** (i + 1) for i in range(rank))
-        mixed = tuple(
-            Fraction((-1) ** i * (i + 2), 3) * Polynomial.gen(x) ** (i + 1)
+        plain = {i + 1: Polynomial.gen(x) ** (i + 1) for i in range(rank)}
+        mixed = {
+            i + 1: Fraction((-1) ** i * (i + 2), 3) * Polynomial.gen(x) ** (i + 1)
             for i in range(rank)
-        )
+        }
         choices.extend([plain, mixed])
     else:
         choices.extend([zero, zero])
@@ -192,7 +192,7 @@ def test_criterion_5_projectivization_dimension_law():
                     assert pe_total == rank * base_total, (
                         tuple(g.name for g in base.generators),
                         rank,
-                        [str(c) for c in classes],
+                        {i: str(c) for i, c in classes.items()},
                     )
 
 

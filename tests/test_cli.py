@@ -4,6 +4,7 @@ import gc
 import pytest
 
 from sullivan.cli import main
+from sullivan.dsl import ModelDocument
 from sullivan.presets import data_text
 
 
@@ -118,6 +119,29 @@ def test_projectivize_command(tmp_path, hp2_file, capsys):
     assert main(
         ["projectivize", "--base", hp2_file, "--rank", "0", "--pontryagin", pont]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "{model}"],
+        ["reduce", "{model}"],
+        ["projectivize", "--base", "{model}", "--rank", "2", "--pontryagin", "{pont}"],
+    ],
+    ids=["cohomology", "reduce", "projectivize"],
+)
+def test_each_command_resolves_its_model_once(tmp_path, hp2_file, monkeypatch, argv):
+    files = {"model": hp2_file, "pont": write(tmp_path, "p.pont", data_text("thm34.pont"))}
+    resolved = []
+    to_model = ModelDocument.to_model
+
+    def counted(doc):
+        resolved.append(doc.name)
+        return to_model(doc)
+
+    monkeypatch.setattr(ModelDocument, "to_model", counted)
+    assert main([word.format(**files) for word in argv]) == 0
+    assert resolved == ["hp2"]
 
 
 def test_quasi_iso_accepting_run(tmp_path, capsys):

@@ -18,7 +18,11 @@ from sullivan.errors import (
     UnknownGeneratorError,
     UnsupportedDimensionError,
 )
+from sullivan.dsl import parse_pontryagin
 from sullivan.gradedalg import Generator, Polynomial
+from sullivan.presets import data_text
+
+from helpers import within_memory
 
 
 def gen_of(model, name):
@@ -50,23 +54,41 @@ def test_hp_model_prefix_and_top_power():
 
 def test_pontryagin_padding():
     base = hp_model(1)
-    data = PontryaginData(base, 3, (Polynomial.gen(gen_of(base, "x4")),))
-    padded = data.padded_classes()
-    assert len(padded) == 3
-    assert padded[1].is_zero() and padded[2].is_zero()
+    x4 = Polynomial.gen(gen_of(base, "x4"))
+    data = PontryaginData(base, 3, {1: x4})
+    assert data.classes == {1: x4}  # p_2 and p_3 are left out: zero
+    out = projectivize(data)
+    assert str(out.d(gen_of(out, "x11"))) == "x4*x4'^2 + x4'^3"
 
 
 def test_pontryagin_classes_past_the_rank_must_vanish():
     base = hp_model(1)
     x4 = Polynomial.gen(gen_of(base, "x4"))
-    assert len(PontryaginData(base, 1, (x4, Polynomial.zero())).padded_classes()) == 1
+    assert PontryaginData(base, 1, {1: x4, 2: Polynomial.zero()}).classes == {1: x4}
     with pytest.raises(DegreeMismatchError, match="p_2"):
-        projectivize(PontryaginData(base, 1, (x4, x4 ** 2)))
+        projectivize(PontryaginData(base, 1, {1: x4, 2: x4 ** 2}))
+
+
+def test_zero_entries_are_dropped_whatever_their_key():
+    zero = Polynomial.zero()
+    assert PontryaginData(sphere_model(8), 2, {0: zero, 2: zero, 7: zero}).classes == {}
+    a4, b4, v4, w4 = (Generator(name, 4) for name in ("a4", "b4", "v4", "w4"))
+    data = ClassifyingData((a4,), (b4,), (v4,), phi_h={v4: zero, w4: zero}, phi_k={w4: zero})
+    assert data.phi_h == data.phi_k == {}
+    assert biquotient_model(data) == biquotient_model(ClassifyingData((a4,), (b4,), (v4,)))
+
+
+def test_projectivize_costs_nothing_sized_by_the_rank():
+    rank = 10**9
+    data = parse_pontryagin(data_text("thm33_n2.pont"), sphere_model(8), rank)
+    out = within_memory(lambda: projectivize(data))
+    top = gen_of(out, f"x{4 * rank - 1}")
+    assert str(out.d(top)) == "x4^1000000000 + x4^999999998*a8"
 
 
 def test_projectivize_trivial_bundle_over_sphere():
     base = sphere_model(8)
-    out = projectivize(PontryaginData(base, 2, ()))
+    out = projectivize(PontryaginData(base, 2))
     names = tuple(g.name for g in out.generators)
     assert names == ("x4", "x7", "a8", "a15")
     assert str(out.d(gen_of(out, "x7"))) == "x4^2"
@@ -75,14 +97,14 @@ def test_projectivize_trivial_bundle_over_sphere():
 def test_projectivize_with_characteristic_class():
     base = sphere_model(8)
     a8 = Polynomial.gen(gen_of(base, "a8"))
-    out = projectivize(PontryaginData(base, 2, (Polynomial.zero(), a8)))
+    out = projectivize(PontryaginData(base, 2, {2: a8}))
     x7 = gen_of(out, "x7")
     assert str(out.d(x7)) == "x4^2 + a8"
 
 
 def test_projectivize_primes_fiber_names_on_collision():
     base = hp_model(2)  # already owns x4 and x11
-    out = projectivize(PontryaginData(base, 3, ()))
+    out = projectivize(PontryaginData(base, 3))
     names = {g.name for g in out.generators}
     assert "x4'" in names and "x11'" in names
     assert str(out.d(gen_of(out, "x11'"))) == "x4'^3"
@@ -92,11 +114,11 @@ def test_projectivize_rejects_bad_characteristic_data():
     base = sphere_model(8)
     a8 = Polynomial.gen(gen_of(base, "a8"))
     with pytest.raises(DegreeMismatchError):
-        projectivize(PontryaginData(base, 2, (a8,)))
+        projectivize(PontryaginData(base, 2, {1: a8}))
     with pytest.raises(UnknownGeneratorError):
-        projectivize(PontryaginData(base, 2, (Polynomial.gen(Generator("w4", 4)),)))
+        projectivize(PontryaginData(base, 2, {1: Polynomial.gen(Generator("w4", 4))}))
     with pytest.raises(UnsupportedDimensionError):
-        projectivize(PontryaginData(base, 0, ()))
+        projectivize(PontryaginData(base, 0))
 
 
 def test_projectivize_rejects_non_cocycle_class():
@@ -104,12 +126,12 @@ def test_projectivize_rejects_non_cocycle_class():
     e5 = Generator("e5", 5)
     base = FreeCDGA((c4, e5), {c4: Polynomial.gen(e5)})
     with pytest.raises(NotACocycleError, match="not a cocycle"):
-        projectivize(PontryaginData(base, 2, (Polynomial.gen(c4),)))
+        projectivize(PontryaginData(base, 2, {1: Polynomial.gen(c4)}))
 
 
 def test_projectivize_rank_one_adds_odd_fiber_class():
     base = sphere_model(8)
-    out = projectivize(PontryaginData(base, 1, ()))
+    out = projectivize(PontryaginData(base, 1))
     x3 = gen_of(out, "x3")
     assert str(out.d(x3)) == "x4"
     # contractible fiber pair: same betti as the base

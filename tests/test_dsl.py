@@ -610,8 +610,13 @@ def test_every_dsl_error_text(run, text):
     assert positioned_error(run) == text
 
 
+def test_pontryagin_document_keeps_only_its_classes_at_any_rank():
+    data = parse_pontryagin(data_text("thm33_n2.pont"), S8, 10**9)
+    assert data.classes == {2: Polynomial.gen(S8.gen("a8"))}
+
+
 def test_statements_resolve_whatever_their_order():
     late_gen = parse_model("model M {\n  d x7 = x4^2;\n  gen x7 : 7;\n  gen x4 : 4;\n}\n")
     assert render_model(late_gen.to_model()) == render_model(hp_model(1))
     padded = _pontryagin("  p 02 = a8;")
-    assert padded.classes == (Polynomial.zero(), Polynomial.gen(S8.gen("a8")))
+    assert padded.classes == {2: Polynomial.gen(S8.gen("a8"))}

@@ -1,9 +1,10 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
 unknown generators, repeated names, non-cocycles, the names that leave
 their algebra, the certificate of a reduction step, a characteristic
-class past a bundle's rank, a malformed model handed to cohomology, to
-the reduction or to the quasi-isomorphism check, and a cohomology handed in
-with another model.
+class past a bundle's rank or below index 1, a class of a bundle of rank
+10^9 (raised without work sized by the rank), a malformed model handed to
+cohomology, to the reduction or to the quasi-isomorphism check, and a
+cohomology handed in with another model.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -28,9 +29,19 @@ from sullivan.cohomology import (
     cup_product,
     is_quasi_iso,
 )
-from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, hp_model, projectivize
+from sullivan.constructors import (
+    ClassifyingData,
+    PontryaginData,
+    biquotient_model,
+    hp_model,
+    projectivize,
+    sphere_model,
+)
+from sullivan.dsl import parse_pontryagin
 from sullivan.gradedalg import Generator, Polynomial
 from sullivan.reduction import Cancellation, ReduciblePair, _certified, reduce
+
+from helpers import within_memory
 
 x4, x7, z4, w4, t4 = (Generator(n, d) for n, d in (("x4", 4), ("x7", 7), ("z4", 4), ("w4", 4), ("t4", 4)))
 a4, b4, c4, v4, a7 = (Generator(n, d) for n, d in (("a4", 4), ("b4", 4), ("c4", 4), ("v4", 4), ("a7", 7)))
@@ -82,17 +93,31 @@ CASES = [
     ),
     (
         "projectivize",
-        lambda: projectivize(PontryaginData(HP1, 2, (Z4, W4 * Z4))),
+        lambda: projectivize(PontryaginData(HP1, 2, {1: Z4, 2: W4 * Z4})),
         ("UnknownGeneratorError", "p_1 mentions generators outside the base: z4"),
     ),
     (
         "projectivize-class-past-the-rank",
-        lambda: projectivize(PontryaginData(hp_model(2), 1, (X4, X4 ** 2, X4 ** 3))),
+        lambda: projectivize(PontryaginData(hp_model(2), 1, {1: X4, 2: X4 ** 2, 3: X4 ** 3})),
         ("DegreeMismatchError", "p_2 = x4^2 is nonzero, but the bundle has rank 1"),
     ),
     (
+        "projectivize-class-index-below-1",
+        lambda: projectivize(PontryaginData(HP1, 2, {0: Polynomial.scalar(1), 1: X4})),
+        ("DegreeMismatchError", "p_0 = 1 is nonzero, but classes are indexed from 1"),
+    ),
+    (
+        "projectivize-class-at-rank-1e9",
+        lambda: within_memory(
+            lambda: projectivize(
+                parse_pontryagin("pontryagin P { p 999999999 = a8; }", sphere_model(8), 10**9)
+            )
+        ),
+        ("DegreeMismatchError", "p_999999999 must be homogeneous of degree 3999999996, got a8"),
+    ),
+    (
         "projectivize-base-not-a-cdga",
-        lambda: projectivize(PontryaginData(D_SQUARED_NONZERO, 1, ())),
+        lambda: projectivize(PontryaginData(D_SQUARED_NONZERO, 1)),
         ("ValueError", "base is not a CDGA: d(d(c4)) = a2^3 is nonzero"),
     ),
     (

@@ -137,12 +137,11 @@ def test_pontryagin_setup_shapes():
     p34 = pontryagin_setup("thm34")
     assert p34.rank == 2
     assert tuple(g.name for g in p34.base.generators) == ("y4", "y11")
-    assert [str(c) for c in p34.padded_classes()] == ["y4", "y4^2"]
+    assert {i: str(c) for i, c in p34.classes.items()} == {1: "y4", 2: "y4^2"}
     p33 = pontryagin_setup("thm33", 3)
     assert p33.rank == 3
     assert tuple(g.name for g in p33.base.generators) == ("a12", "a23")
-    classes = p33.padded_classes()
-    assert [str(c) for c in classes] == ["0", "0", "a12"]
+    assert {i: str(c) for i, c in p33.classes.items()} == {3: "a12"}  # p_1 = p_2 = 0
     with pytest.raises(ValueError):
         pontryagin_setup("prop31", 2)
 

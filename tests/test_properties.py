@@ -655,8 +655,13 @@ def free_models(draw, prefix):
 @st.composite
 def classifying_data_with_aliases(draw):
     wh, wk, v = draw(_generators("h")), draw(_generators("k")), draw(_generators("v", 1))
-    phi_h = {g: p for g in v if not (p := draw(polynomials_over(wh))).is_zero()}
-    phi_k = {g: p for g in v if not (p := draw(polynomials_over(wk))).is_zero()}
+
+    def restriction(side):
+        """Images of some middle generators, in any order; zero ones included."""
+        assigned = draw(st.lists(st.sampled_from(v), unique=True))
+        return {g: draw(polynomials_over(side)) for g in assigned}
+
+    phi_h, phi_k = restriction(wh), restriction(wk)
     aliased = draw(st.lists(st.sampled_from(v), unique=True))
     names = {g: f"s{i}" + "'" * i for i, g in enumerate(aliased)}
     return ClassifyingData(wh, wk, v, phi_h, phi_k, names)
@@ -669,7 +674,9 @@ def test_render_round_trip_of_classifying_data(data):
 
 @given(free_models("b"), st.integers(min_value=1, max_value=4), st.data())
 def test_render_round_trip_of_pontryagin_data(base, rank, data):
-    classes = tuple(data.draw(polynomials_over(base.generators)) for _ in range(rank))
+    # some indices left out, in any order, and some classes zero
+    indices = data.draw(st.lists(st.integers(min_value=1, max_value=rank), unique=True))
+    classes = {i: data.draw(polynomials_over(base.generators)) for i in indices}
     pont = PontryaginData(base, rank, classes)
     assert parse_pontryagin(render_pontryagin(pont, name="P"), base, rank) == pont
 
