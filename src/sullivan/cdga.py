@@ -160,7 +160,9 @@ def checked(model: FreeCDGA, producer: str) -> FreeCDGA:
 
 
 def rename_generators(model: FreeCDGA, mapping: Mapping[Generator, Generator]) -> FreeCDGA:
-    """Simultaneously relabel generators; degrees must be preserved."""
+    """Simultaneously relabel generators of the model; degrees must be preserved."""
+    if unknown := sorted(g.name for g in set(mapping).difference(model.generators)):
+        raise UnknownGeneratorError(f"renaming unknown generators: {', '.join(unknown)}")
     for old, new in mapping.items():
         if old.degree != new.degree:
             raise DegreeMismatchError(

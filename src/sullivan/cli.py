@@ -268,16 +268,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _InputFailure:
         return 2
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except VerificationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EngineError, ValueError) as exc:
+    except (DslError, EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,15 +197,12 @@ class Cohomology:
         """The RREF basis of H^n; the only place a reduced echelon form is built."""
         return [self.to_polynomial(v, n) for v in self.h_space(n).basis()]
 
-    def classify(self, cocycle: Polynomial, n: int) -> tuple[list[Fraction], Vec]:
-        """Coordinates of a cocycle in the chosen basis of H^n, and the
-        cocycle reduced modulo coboundaries."""
-        space = self.h_space(n)
+    def classify(self, cocycle: Polynomial, n: int) -> Vec:
+        """A cocycle's normal form modulo coboundaries, checked to lie in H^n's span."""
         residue = self.coboundaries(n).reduce(self.to_vector(cocycle, n))
-        if space.reduce(residue):  # cannot happen for an actual cocycle
+        if self.h_space(n).reduce(residue):  # cannot happen for an actual cocycle
             raise AssertionError("cocycle not in the span of cohomology representatives")
-        # Each representative is 1 at its own pivot and 0 at the others.
-        return [Fraction(residue.get(pivot, 0)) for pivot, _, _ in space.rows], residue
+        return residue
 
 
 @dataclass
@@ -272,6 +269,14 @@ def _cohomology_of(model: FreeCDGA, coh: Optional[Cohomology]) -> Cohomology:
     return coh
 
 
+def _class(coh: Cohomology, cocycle: Polynomial, n: int) -> CohomologyClass:
+    """The class of a cocycle of degree n; its coordinates are its normal form at the pivots."""
+    # One shared zero: a Fraction built per zero coordinate was most of a cup product.
+    residue, zero = coh.classify(cocycle, n), Fraction(0)
+    coords = tuple(residue.get(pivot, zero) for pivot, _, _ in coh.h_space(n).rows)
+    return CohomologyClass(n, coords, coh.to_polynomial(residue, n))
+
+
 def class_of(
     model: FreeCDGA,
     cocycle: Polynomial,
@@ -281,8 +286,7 @@ def class_of(
     Pass one Cohomology(model) as coh to share its stages between calls."""
     coh = _cohomology_of(model, coh)
     n = _cocycle_degree(model, cocycle, "expected a nonzero homogeneous cocycle")
-    coords, residue = coh.classify(cocycle, n)
-    return CohomologyClass(n, tuple(coords), coh.to_polynomial(residue, n))
+    return _class(coh, cocycle, n)
 
 
 def cup_product(
@@ -291,26 +295,23 @@ def cup_product(
     b: Polynomial,
     coh: Optional[Cohomology] = None,
 ) -> CohomologyClass:
-    """[a] * [b] as coordinates in the chosen basis of H of the product degree.
+    """[a] * [b] in the chosen basis of H of their degree (a*b needs no cocycle check).
     Pass one Cohomology(model) as coh to share its stages between calls."""
     coh = _cohomology_of(model, coh)
     shape = "cup product expects nonzero homogeneous cocycles"
     n = _cocycle_degree(model, a, shape) + _cocycle_degree(model, b, shape)
-    product = a * b
-    if product.is_zero():
-        dim = coh.betti(n)
-        return CohomologyClass(n, tuple([Fraction(0)] * dim), Polynomial.zero())
-    return class_of(model, product, coh)
+    return _class(coh, a * b, n)
 
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """A graded quotient of a free commutative algebra on even generators."""
+    """Q[generators]/(relations), graded, on even generators; zero relations are dropped."""
 
     generators: tuple[Generator, ...]
     relations: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "relations", tuple(r for r in self.relations if not r.is_zero()))
         for g in self.generators:
             if g.odd:
                 raise ValueError(f"presentation generator {g.name} has odd degree")
@@ -318,8 +319,6 @@ class RingPresentation:
         if dupes:
             raise ValueError(f"duplicate generator name {dupes[0]}")
         for r in self.relations:
-            if r.is_zero():
-                continue
             names = unknown_names(r, self.generators)
             if names:
                 raise ValueError(f"relation {r} mentions unknown generators: {names}")
@@ -335,7 +334,7 @@ def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int
     """
     check_bound(max_degree, "max_degree")
     cap = max_basis_cap()
-    relations = [(r, r.degree()) for r in pres.relations if not r.is_zero()]
+    relations = [(r, r.degree()) for r in pres.relations]
     bases: list[list[Monomial]] = []  # by degree, each enumerated once
     dims: dict[int, int] = {}
     for n in range(max_degree + 1):
@@ -412,7 +411,7 @@ def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
     for n in range(max_degree + 1):
         image = RowSpace()
         for _, row, _ in src.h_space(n).rows:
-            image.add(tgt.classify(m.push(src.to_polynomial(row, n)), n)[1])
+            image.add(tgt.classify(m.push(src.to_polynomial(row, n)), n))
         per_degree[n] = DegreeVerdict(
             source_dim=src.betti(n),
             target_dim=tgt.betti(n),

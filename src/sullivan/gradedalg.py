@@ -333,12 +333,10 @@ def basis_of_degree(
     n: int,
     max_size: Optional[int] = None,
 ) -> list[Monomial]:
-    """All canonical monomials of total degree n, in canonical order.
+    """All canonical monomials of total degree n (none if n < 0), in canonical order.
 
     Raises ResourceLimitError when the count would exceed max_size.
     """
-    if n < 0:
-        return []
     out: list[Monomial] = []
     for mono in _monomials(sorted(set(gens)), 0, n, ()):
         out.append(mono)

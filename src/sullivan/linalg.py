@@ -44,8 +44,6 @@ def _eliminate(vec: Vec, row: Vec, ratio: Fraction) -> None:
 def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
     """vec and tag times one common rational: integers with gcd 1."""
     values = [*vec.values(), *tag.values()]
-    if not values:
-        return {}, {}
     den = lcm(*(c.denominator for c in values))
     num = gcd(*(c.numerator for c in values))
     return (

@@ -135,6 +135,12 @@ def test_rename_generators_rejects_parity_change():
         rename_generators(m, {a4: Generator("a5", 5)})
 
 
+def test_rename_generators_rejects_keys_that_are_not_generators_of_the_model():
+    with pytest.raises(UnknownGeneratorError) as info:
+        rename_generators(hp_model(2), {Generator("zz", 4): Generator("ww", 4)})
+    assert str(info.value) == "renaming unknown generators: zz"
+
+
 def test_rename_preserves_betti(rng):
     m = random_pure_model(rng)
     fresh = {g: Generator(f"r{i}_{g.degree}", g.degree) for i, g in enumerate(m.generators)}

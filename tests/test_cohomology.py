@@ -6,6 +6,7 @@ from sullivan import cohomology
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, identity_morphism, rename_generators
 from sullivan.cohomology import (
     Cohomology,
+    CohomologyClass,
     RingPresentation,
     betti,
     class_of,
@@ -127,6 +128,39 @@ def test_cup_product_truncated_polynomial_structure():
     assert cube.is_zero()
 
 
+def test_cup_product_of_classes_whose_product_is_zero():
+    u3, w6 = Generator("u3", 3), Generator("w6", 6)
+    model = FreeCDGA((u3, w6))
+    u = Polynomial.gen(u3)
+    assert cup_product(model, u, u) == CohomologyClass(6, (Fraction(0),), Polynomial.zero())
+
+
+def test_cup_product_applies_d_to_its_factors_only(monkeypatch):
+    model = hp_model(2)
+    x4 = Polynomial.gen(gen_of(model, "x4"))
+    coh = Cohomology(model)
+    coh.betti(8)
+    applied = []
+    real = cohomology.apply_d
+    monkeypatch.setattr(cohomology, "apply_d", lambda m, p: applied.append(p) or real(m, p))
+    assert cup_product(model, x4, x4, coh).coordinates == (Fraction(1),)
+    assert applied == [x4, x4]
+
+
+def test_class_coordinates_are_fractions():
+    model = biquotient_model(classifying_data("thm34"))
+    coh = Cohomology(model)
+    reps = betti(model, 12, representatives=True).representatives
+    env = {g.name: g for g in model.generators}
+    classes = [class_of(model, parse_expression(p, env), coh) for p in ("a4", "b4^3", "b4*c4^2")]
+    classes += [cup_product(model, a, b, coh) for a in reps[4] for b in reps[4] + reps[8]]
+    u3 = Generator("u3", 3)
+    classes.append(cup_product(FreeCDGA((u3,)), Polynomial.gen(u3), Polynomial.gen(u3)))
+    coordinates = [c for cls in classes for c in cls.coordinates]
+    assert 0 in coordinates and any(coordinates)
+    assert all(type(c) is Fraction for c in coordinates)
+
+
 def test_cup_product_shares_a_cohomology(monkeypatch):
     model = biquotient_model(classifying_data("thm34"))
     reps = betti(model, 12, representatives=True).representatives
@@ -182,6 +216,19 @@ def test_quotient_ring_dims_two_variable_complete_intersection():
     r2 = Polynomial.gen(y) ** 3
     dims = quotient_ring_dims(RingPresentation((x, y), (r1, r2)), 16)
     assert {n: d for n, d in dims.items() if d} == {0: 1, 4: 2, 8: 2, 12: 1}
+
+
+def test_ring_presentation_drops_zero_relations():
+    x4 = Generator("x4", 4)
+    pres = RingPresentation((x4,), (Polynomial.zero(), Polynomial.gen(x4) ** 2))
+    assert pres.relations == (Polynomial.gen(x4) ** 2,)
+    dims = quotient_ring_dims(pres, 12)
+    assert {n: d for n, d in dims.items() if d} == {0: 1, 4: 1}
+
+
+def test_empty_inputs_take_the_general_path():
+    assert basis_of_degree((Generator("x4", 4),), -1) == []
+    assert RowSpace().add({}) == ({}, {})
 
 
 def test_ring_presentation_validates_input():

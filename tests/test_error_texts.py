@@ -1,10 +1,10 @@
 """Full texts of the errors the algebra layer builds from its shared rules:
 unknown generators, repeated names, non-cocycles, the names that leave
-their algebra, the certificate of a reduction step, a characteristic
-class past a bundle's rank or below index 1, a class of a bundle of rank
-10^9 (raised without work sized by the rank), a malformed model handed to
-cohomology, to the reduction or to the quasi-isomorphism check, and a
-cohomology handed in with another model.
+their algebra, the certificate of a reduction step, a replay that diverges
+from its log, a characteristic class past a bundle's rank or below index 1,
+a class of a bundle of rank 10^9 (raised without work sized by the rank),
+a malformed model handed to cohomology, to the reduction or to the
+quasi-isomorphism check, and a cohomology handed in with another model.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -19,6 +19,7 @@ from sullivan.cdga import (
     change_of_variable,
     compose_and_check,
     identity_morphism,
+    rename_generators,
     validate,
 )
 from sullivan.cohomology import (
@@ -39,7 +40,7 @@ from sullivan.constructors import (
 )
 from sullivan.dsl import parse_pontryagin
 from sullivan.gradedalg import Generator, Polynomial
-from sullivan.reduction import Cancellation, ReduciblePair, _certified, reduce
+from sullivan.reduction import Cancellation, ReduciblePair, _certified, reduce, replay
 
 from helpers import within_memory
 
@@ -56,6 +57,8 @@ INHOMOGENEOUS = FreeCDGA((x2, y3), {y3: X2 ** 2 + X2})
 TWO_INHOMOGENEOUS = FreeCDGA((x2, y3, b3), {y3: X2 ** 2 + X2, b3: X2 ** 2 - X2 ** 3})
 HP1_WITHOUT_D = FreeCDGA((x4, x7))
 D_SQUARED_NONZERO = FreeCDGA((a2, b3, c4), {c4: B3 * A2, b3: A2 ** 2})  # d(d(c4)) = a2^3
+v3 = Generator("v3", 3)
+V3_TO_2X4, V3_TO_3X4 = (FreeCDGA((v3, x4), {v3: k * X4}) for k in (2, 3))
 
 
 def _outcome(run):
@@ -140,6 +143,11 @@ CASES = [
         ("ValueError", "relation w4*x4 + x4*z4 mentions unknown generators: w4, z4"),
     ),
     (
+        "rename_generators-unknown-keys",
+        lambda: rename_generators(hp_model(2), {z4: t4, w4: t4}),
+        ("UnknownGeneratorError", "renaming unknown generators: w4, z4"),
+    ),
+    (
         "FreeCDGA-duplicate-names",
         lambda: FreeCDGA((z4_again, z4, x4, x4_again)),
         ("ValueError", "duplicate generator names: x4, z4"),
@@ -166,6 +174,14 @@ CASES = [
             "VerificationFailedError",
             "step 'cancel (u3, z4)' fails its certificate: d(u3) = 2*z4, expected z4; "
             "image of x7 mentions unknown generators: x7; unexpected generators w4",
+        ),
+    ),
+    (
+        "replay-diverged",
+        lambda: replay(V3_TO_3X4, reduce(V3_TO_2X4)[1]),
+        (
+            "VerificationFailedError",
+            "replay diverged at 'cancel (v3, x4)   [scalar 2]': got (v3, x4, 3)",
         ),
     ),
     (

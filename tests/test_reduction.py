@@ -52,6 +52,28 @@ def test_find_reducible_skips_generators_occurring_in_residue():
     assert find_reducible(blocked) is None
 
 
+def test_find_reducible_skips_a_pair_whose_odd_generator_would_survive():
+    # cancelling (v3, x4) sends x4 to 0, but v3 stays in d(w6) = v3*y4 + z7
+    z7, w6 = Generator("z7", 7), Generator("w6", 6)
+    X4, Y4 = Polynomial.gen(x4), Polynomial.gen(y4)
+    m = FreeCDGA(
+        (v3, x4, y4, z7, w6),
+        {v3: X4, z7: -X4 * Y4, w6: Polynomial.gen(v3) * Y4 + Polynomial.gen(z7)},
+    )
+    assert find_reducible(m) is None
+    out, log = reduce(m)
+    assert out == m
+    assert log.render() == "no reducible pair; model unchanged"
+    assert betti(m, 14).nonzero() == {0: 1, 4: 1, 8: 1, 12: 1}
+
+
+def test_find_reducible_skips_a_candidate_that_occurs_beyond_its_linear_term():
+    # not a CDGA (d(v3) is inhomogeneous); find_reducible does not validate
+    a2 = Generator("a2", 2)
+    X4 = Polynomial.gen(x4)
+    assert find_reducible(FreeCDGA((a2, v3, x4), {v3: X4 + X4 * Polynomial.gen(a2)})) is None
+
+
 def test_find_reducible_on_closed_model():
     m = FreeCDGA((x4, v7), {})
     assert find_reducible(m) is None

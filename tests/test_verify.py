@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from sullivan import verify
-from sullivan.cdga import FreeCDGA, identity_morphism
+from sullivan.cdga import FreeCDGA, Morphism, identity_morphism
+from sullivan.cohomology import is_quasi_iso
 from sullivan.constructors import biquotient_model, hp_model, projectivize
 from sullivan.dsl import parse_source
 from sullivan.gradedalg import Polynomial
@@ -147,6 +148,27 @@ def test_quasi_iso_check_fails_on_a_map_that_is_not_a_chain_map():
     assert check.name == "quasi-iso"
     assert not check.ok
     assert "chain condition fails on xbar7" in check.detail
+
+
+def test_quasi_iso_check_names_the_failing_degrees_of_the_zero_map():
+    f = comparison_morphism("thm34")
+    zero = Morphism(f.source, f.target)
+    check = verify._quasi_iso_check(zero, 16, "f-chain-sign")
+    assert not check.ok
+    assert (check.name, check.detail) == ("quasi-iso", "failing degrees [4, 8, 12]")
+    assert is_quasi_iso(zero, 16).per_degree[4].describe() == "not-injective, not-surjective"
+
+
+def test_verbatim_evidence_that_parses_as_a_chain_map_fails_its_check(monkeypatch):
+    def served(name):
+        return data_text("thm34_f.morphism" if name == "thm34_f_verbatim.morphism" else name)
+
+    monkeypatch.setattr(verify, "data_text", served)
+    check = verify._evidence_check("thm34")
+    assert not check.ok
+    assert check.detail == (
+        "f-chain-sign: thm34_f_verbatim.morphism -> unexpectedly parses as a chain map"
+    )
 
 
 def _failed_checks(report):
