@@ -1,13 +1,15 @@
 """Exact degree-truncated cohomology of free CDGAs.
 
-Everything is brute force on purpose: each degree gets its full monomial
-basis, the differential becomes a sparse matrix, and ranks, kernels, and
-quotient bases come from exact fraction-free elimination.  Representatives
-are the RREF rows of the cocycle space modulo coboundaries, built as fresh
-rows: that form is unique for the span, so repeated runs pick identical
-representatives, and a class's coordinates are its values at their pivots.
-Only representatives build it: a quasi-isomorphism's rank in each degree is
-read from normal forms modulo the target's coboundaries.
+Each degree gets its full monomial basis, the differential becomes a sparse
+matrix, and ranks, kernels and quotient bases come from exact fraction-free
+elimination; quotient rings, and Betti numbers alone where H = H_0 is finite
+(_elliptic_betti), are counted from a degree-truncated Groebner basis
+instead.  Representatives are the RREF rows of the cocycle space modulo
+coboundaries, built as fresh rows: that form is unique for the span, so
+repeated runs pick identical representatives, and a class's coordinates are
+its values at their pivots.  Only representatives build it: a
+quasi-isomorphism's rank in each degree is read from normal forms modulo the
+target's coboundaries.
 
 The differential's shape is checked once, when a Cohomology is built: every
 term of every d(g) must be a monomial of degree |g|+1 in the model's
@@ -24,7 +26,8 @@ RREF depend only on the spans, and the kernel basis it yields is read only
 through its size and its span modulo coboundaries.
 
 RHT_MAX_BASIS in the environment, a nonnegative integer, overrides the
-default cap of 200000 monomials per degree.
+default cap of 200000 monomials per degree, which also caps the size of a
+Groebner basis and its standard monomials per degree.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check, validate
-from sullivan.errors import DegreeMismatchError, NotACocycleError, UnknownGeneratorError
+from sullivan.errors import (
+    DegreeMismatchError, NotACocycleError, ResourceLimitError, UnknownGeneratorError
+)
 from sullivan.gradedalg import (
     Generator,
     Monomial,
@@ -66,10 +71,6 @@ def check_bound(value: Optional[int], name: str, least: int = 0) -> None:
     """Reject an integer bound below its least value (0 for degree bounds)."""
     if value is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
-def default_max_degree(model: FreeCDGA) -> int:
-    return min(4 * len(model.generators), 40)
 
 
 @dataclass
@@ -218,16 +219,43 @@ class CohomologyReport:
         return {n: b for n, b in self.betti.items() if b}
 
 
+def _elliptic_betti(coh: Cohomology, max_degree: Optional[int]) -> Optional[list[int]]:
+    """b_0 .. b_N, cut at max_degree, if the model is pure with #even = #odd and
+    H_0 = Q[evens]/(d odds) is finite, else None.  Then H = H_0, zero above
+    N = sum|y| - sum(|x| - 1) (Felix-Halperin-Thomas, GTM 205, section 32), and
+    a pure power of each even x is a lead by degree N + max|x|: exactly when
+    H_0 is finite, so the basis cut there certifies both ways."""
+    model = coh.model
+    evens, odds = model.even_generators(), model.odd_generators()
+    pure = all(g.odd and dg.generators() <= set(evens) for g, dg in model.differential.items())
+    if len(evens) != len(odds) or not pure:
+        return None
+    top = sum(g.degree for g in odds) - sum(g.degree - 1 for g in evens)
+    relations = tuple(model.differential.values())
+    leads = _groebner(evens, relations, top + max((g.degree for g in evens), default=0), coh.cap)
+    powered = {lead.index(max(lead)) for lead in leads if sum(lead) == max(lead)}
+    if len(powered) < len(evens):
+        return None
+    cut = top if max_degree is None else min(top, max_degree)
+    return _standard_counts(evens, leads, cut, coh.cap)
+
+
 def betti(
     model: FreeCDGA,
     max_degree: Optional[int] = None,
     representatives: bool = False,
 ) -> CohomologyReport:
-    """Betti numbers (and optionally representatives) up to max_degree."""
+    """Betti numbers (and optionally representatives) up to max_degree.  On a
+    model _elliptic_betti certifies, max_degree defaults to its top degree N and
+    the Betti numbers alone come from H_0; all else uses the full complex."""
     check_bound(max_degree, "max_degree")
-    if max_degree is None:
-        max_degree = default_max_degree(model)
     coh = Cohomology(model)
+    h0 = _elliptic_betti(coh, max_degree) if max_degree is None or not representatives else None
+    if max_degree is None:
+        max_degree = len(h0) - 1 if h0 else min(4 * len(model.generators), 40)
+    if h0 and not representatives:
+        counts = h0[: max_degree + 1] + [0] * (max_degree + 1 - len(h0))
+        return CohomologyReport(max_degree, dict(enumerate(counts)))
     b: dict[int, int] = {}
     reps: dict[int, list[Polynomial]] = {}
     for n in range(max_degree + 1):
@@ -327,28 +355,80 @@ class RingPresentation:
 
 
 def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int]:
-    """Graded dimensions of the quotient, by brute-force spanning.
-
-    In each degree the ideal is spanned by monomial multiples of the
-    relations; no Groebner machinery, just exact ranks.
-    """
+    """Graded dimensions of the quotient: its standard monomials per degree."""
     check_bound(max_degree, "max_degree")
     cap = max_basis_cap()
-    relations = [(r, r.degree()) for r in pres.relations]
-    bases: list[list[Monomial]] = []  # by degree, each enumerated once
-    dims: dict[int, int] = {}
-    for n in range(max_degree + 1):
-        basis = basis_of_degree(pres.generators, n, cap)
-        bases.append(basis)
-        index = {m: i for i, m in enumerate(basis)}
-        span = RowSpace()
-        for r, rdeg in relations:
-            if rdeg <= n:
-                for m in bases[n - rdeg]:
-                    product = Polynomial.monomial(m) * r
-                    span.add({index[mm]: c for mm, c in product.terms.items()})
-        dims[n] = len(basis) - span.rank
-    return dims
+    gens = sorted(pres.generators)
+    leads = _groebner(gens, pres.relations, max_degree, cap)
+    return dict(enumerate(_standard_counts(gens, leads, max_degree, cap)))
+
+
+def _shift_add(p: dict, c: Fraction, shift: tuple[int, ...], g: dict) -> None:
+    """p += c * x^shift * g in place, on exponent tuples; zero terms leave p."""
+    for t, v in g.items():
+        k = tuple(a + b for a, b in zip(shift, t))
+        if v := p.pop(k, 0) + c * v:
+            p[k] = v
+
+
+def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap: int) -> list:
+    """The leads of the reduced Groebner basis of (relations) in Q[gens], cut at
+    max_degree, as exponent tuples indexed like gens (ascending degree).  In
+    weighted grevlex with the generators highest degree first, a homogeneous
+    polynomial's lead is its least tuple.  Taken in ascending degree, the leads
+    span the leading ideal exactly up to max_degree (Becker-Weispfenning, GTM
+    141); leads with no common generator make no pair (Buchberger's first
+    criterion)."""
+    todo: dict[int, list[dict]] = {}  # degree -> polynomials still to reduce
+    for r in relations:
+        p = {tuple(dict(m.powers).get(g, 0) for g in gens): c for m, c in r.terms.items()}
+        todo.setdefault(r.degree(), []).append(p)
+    basis: list[tuple[tuple[int, ...], dict]] = []  # (lead, monic polynomial)
+    while todo and min(todo) <= max_degree:
+        for p in todo.pop(min(todo)):  # a new pair's lcm lies above both leads
+            nf: dict = {}
+            while p:  # the normal form of p, term by term from the lead
+                m = min(p)
+                for lead, g in basis:
+                    if all(a <= b for a, b in zip(lead, m)):
+                        _shift_add(p, -p[m], tuple(b - a for a, b in zip(lead, m)), g)
+                        break
+                else:
+                    nf[m] = p.pop(m)
+            if not nf:
+                continue
+            new = min(nf)
+            p = {t: v / nf[new] for t, v in nf.items()}
+            for lead, g in basis:
+                if new in g:  # g has p's degree; subtracting p keeps the basis reduced
+                    _shift_add(g, -g[new], (0,) * len(gens), p)
+                if any(a and b for a, b in zip(lead, new)):
+                    lcm = tuple(map(max, lead, new))
+                    s = {tuple(a + b - c for a, b, c in zip(t, lcm, new)): v for t, v in p.items()}
+                    _shift_add(s, Fraction(-1), tuple(a - b for a, b in zip(lcm, lead)), g)
+                    todo.setdefault(sum(x.degree * e for x, e in zip(gens, lcm)), []).append(s)
+            basis.append((new, p))
+            if len(basis) > cap:
+                raise ResourceLimitError(f"Groebner basis exceeds cap of {cap} polynomials")
+    return [lead for lead, _ in basis]
+
+
+def _standard_counts(gens: Sequence[Generator], leads: list, max_degree: int, cap: int) -> list:
+    """The count per degree up to max_degree of the monomials no lead divides,
+    by a depth-first walk that raises one exponent at or after the last one
+    raised and stops past max_degree or at a multiple of a lead."""
+    counts = [0] * (max_degree + 1)
+    stack = [((0,) * len(gens), 0, 0)]
+    while stack:
+        mono, start, degree = stack.pop()
+        if degree > max_degree or any(all(a <= b for a, b in zip(lead, mono)) for lead in leads):
+            continue
+        counts[degree] += 1
+        if counts[degree] > cap:
+            raise ResourceLimitError(f"quotient in degree {degree} exceeds cap of {cap} monomials")
+        for i in range(start, len(gens)):
+            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i, degree + gens[i].degree))
+    return counts
 
 
 @dataclass

@@ -1,10 +1,17 @@
 import argparse
 import gc
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sullivan
 from sullivan.cli import main
 from sullivan.dsl import ModelDocument
+from sullivan.gradedalg import Generator, Polynomial, basis_of_degree
 from sullivan.presets import data_text
 
 
@@ -277,6 +284,30 @@ def test_resource_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RHT_MAX_BASIS", "1")
     assert main(["cohomology", wide, "--max-degree", "8"]) == 4
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_groebner_basis_cap_stops_an_adversarial_presentation(tmp_path):
+    """Seven quadrics with random coefficients in seven generators: their
+    Groebner basis has dozens of elements whose coefficients grow fast, which
+    takes minutes to build; the cap on its size ends the run first."""
+    rng = random.Random(7)
+    gens = [Generator(f"x{i}", 2) for i in range(7)]
+    quadrics = basis_of_degree(gens, 4)
+    lines = [str(Polynomial({m: rng.randint(1, 9) for m in quadrics})) for _ in gens]
+    relations = write(tmp_path, "rels.txt", "\n".join(lines) + "\n")
+    spec = ",".join(f"{g.name}:2" for g in gens)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(sullivan.__file__).resolve().parents[1]),
+        RHT_MAX_BASIS="20",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "sullivan", "quotient-dims", "--gens", spec,
+         "--relations", relations, "--max-degree", "40"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == "error: Groebner basis exceeds cap of 20 polynomials\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

@@ -23,7 +23,7 @@ from sullivan.linalg import RowSpace
 from sullivan.presets import classifying_data, data_text
 from sullivan.reduction import reduce
 
-from helpers import betti_by_elimination, random_pure_model, total_dim
+from helpers import betti_by_elimination, quotient_dims_by_elimination, random_pure_model, total_dim
 
 
 def gen_of(model, name):
@@ -216,6 +216,95 @@ def test_quotient_ring_dims_two_variable_complete_intersection():
     r2 = Polynomial.gen(y) ** 3
     dims = quotient_ring_dims(RingPresentation((x, y), (r1, r2)), 16)
     assert {n: d for n, d in dims.items() if d} == {0: 1, 4: 2, 8: 2, 12: 1}
+
+
+def _h0(model):
+    return RingPresentation(
+        model.even_generators(), tuple(model.d(g) for g in model.odd_generators())
+    )
+
+
+def _not_zero_dimensional():
+    """Q[x2, y4, z6]/(x2^3 - x2*y4, y4^2 - x2*z6): two relations on three generators."""
+    x2, y4, z6 = Generator("x2", 2), Generator("y4", 4), Generator("z6", 6)
+    x, y, z = (Polynomial.gen(g) for g in (x2, y4, z6))
+    return RingPresentation((x2, y4, z6), (x ** 3 - x * y, y ** 2 - x * z))
+
+
+@pytest.mark.parametrize(
+    "pres, want",
+    [
+        (_h0(biquotient_model(classifying_data("prop31", 3))), {n: 1 for n in range(0, 17, 4)}),
+        (_h0(biquotient_model(classifying_data("thm34"))), {0: 1, 4: 2, 8: 2, 12: 1}),
+        (_not_zero_dimensional(), {0: 1, 2: 1, **{n: 2 for n in range(4, 17, 2)}}),
+    ],
+    ids=["prop31-h0", "thm34-h0", "not-zero-dimensional"],
+)
+def test_quotient_ring_dims_pinned_examples(pres, want):
+    dims = quotient_ring_dims(pres, 16)
+    assert {n: d for n, d in dims.items() if d} == want
+    assert dims == quotient_dims_by_elimination(pres.generators, pres.relations, 16)
+
+
+def _ring_model():
+    """x_i of degree 2 and y_i of degree 3, d y_i = x_i x_{i+1 mod 6}: pure with
+    six even and six odd generators, and H_0 is infinite."""
+    xs = [Generator(f"x{i}", 2) for i in range(6)]
+    ys = [Generator(f"y{i}", 3) for i in range(6)]
+    diff = {y: Polynomial.gen(xs[i]) * Polynomial.gen(xs[(i + 1) % 6]) for i, y in enumerate(ys)}
+    return FreeCDGA(tuple(xs + ys), diff)
+
+
+def _counted_betti(monkeypatch, model, max_degree):
+    """betti(model, max_degree) with the degrees it enumerates and the
+    polynomials it differentiates."""
+    enumerated, applied = [], []
+    real_basis, real_apply_d = cohomology.basis_of_degree, cohomology.apply_d
+    monkeypatch.setattr(
+        cohomology, "basis_of_degree", lambda *args: enumerated.append(args[1]) or real_basis(*args)
+    )
+    monkeypatch.setattr(cohomology, "apply_d", lambda m, p: applied.append(p) or real_apply_d(m, p))
+    return betti(model, max_degree), enumerated, applied
+
+
+@pytest.mark.parametrize(
+    "model",
+    [biquotient_model(classifying_data("prop31", 3)), _ring_model()],
+    ids=["prop31", "pure-6-6"],
+)
+def test_refused_models_take_the_full_complex(monkeypatch, model):
+    assert cohomology._elliptic_betti(Cohomology(model), None) is None
+    report, enumerated, applied = _counted_betti(monkeypatch, model, 8)
+    assert sorted(enumerated) == sorted(n + k for n in range(9) for k in (0, 1))
+    assert len(applied) == sum(len(basis_of_degree(model.generators, n)) for n in range(9))
+    assert report.nonzero() == betti_by_elimination(model, 8)
+
+
+def test_certified_models_read_betti_numbers_from_h0(monkeypatch):
+    model = biquotient_model(classifying_data("thm34"))
+    assert cohomology._elliptic_betti(Cohomology(model), None) == [1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1]
+    report, enumerated, applied = _counted_betti(monkeypatch, model, 16)
+    assert enumerated == applied == []
+    assert report.nonzero() == betti_by_elimination(model, 16) == {0: 1, 4: 2, 8: 2, 12: 1}
+    assert report.max_degree == 16 and set(report.betti) == set(range(17))
+    # The work is set by H_0, not by the degree asked for.
+    assert betti(hp_model(2), 20000).nonzero() == {0: 1, 4: 1, 8: 1}
+
+
+def test_default_degree_is_the_top_degree_of_certified_models():
+    assert betti(hp_model(10)).max_degree == 40
+    assert betti(hp_model(10)).nonzero() == {n: 1 for n in range(0, 41, 4)}
+    report = betti(sphere_model(12), representatives=True)
+    assert report.max_degree == 12 and report.nonzero() == {0: 1, 12: 1}
+    assert [str(p) for p in report.representatives[12]] == ["a12"]
+    assert betti(bsp_model(2)).max_degree == 8  # not elliptic: the old default
+
+
+def test_standard_monomials_respect_the_basis_cap(monkeypatch):
+    monkeypatch.setenv("RHT_MAX_BASIS", "2")
+    pres = RingPresentation((Generator("x2", 2), Generator("y2", 2)), ())
+    with pytest.raises(ResourceLimitError, match="quotient in degree 4 exceeds cap of 2 monomials"):
+        quotient_ring_dims(pres, 4)
 
 
 def test_ring_presentation_drops_zero_relations():
