@@ -414,9 +414,9 @@ def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap:
 
 
 def _standard_counts(gens: Sequence[Generator], leads: list, max_degree: int, cap: int) -> list:
-    """The count per degree up to max_degree of the monomials no lead divides,
-    by a depth-first walk that raises one exponent at or after the last one
-    raised and stops past max_degree or at a multiple of a lead."""
+    """The count per degree up to max_degree of the monomials no lead divides, a
+    set closed under division: a depth-first walk raises one exponent at or after
+    the last one raised, and stops past max_degree or at a multiple of a lead."""
     counts = [0] * (max_degree + 1)
     stack = [((0,) * len(gens), 0, 0)]
     while stack:
