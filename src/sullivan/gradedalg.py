@@ -17,6 +17,10 @@ constructors validate; basis enumeration and the merge build monomials
 canonical by construction, unchecked.  Pickling rebuilds both through the
 public constructor, because str hashes differ between processes.
 
+Basis enumeration walks the factors in canonical order and, by a bitmask of
+the degrees the later generators can reach, enters only branches that end in
+a monomial, so its work follows the size of the basis and not the degree.
+
 All arithmetic is exact.  Floats never appear.
 """
 
@@ -184,7 +188,8 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     clean[m] = c
         self.terms = clean
@@ -335,30 +340,65 @@ def basis_of_degree(
 ) -> list[Monomial]:
     """All canonical monomials of total degree n (none if n < 0), in canonical order.
 
-    Raises ResourceLimitError when the count would exceed max_size.
+    A depth-first walk picks the factors in canonical order and enters a
+    branch only when the degree it leaves is reachable by the generators
+    after it, so every call adds at least one monomial, and it tries no
+    power whose remainder lies above the highest such degree: the work
+    follows the size of the basis, not the degree.  Raises
+    ResourceLimitError when the count would exceed max_size.
     """
-    out: list[Monomial] = []
-    for mono in _monomials(sorted(set(gens)), 0, n, ()):
-        out.append(mono)
-        if max_size is not None and len(out) > max_size:
-            raise ResourceLimitError(
-                f"basis in degree {n} exceeds cap of {max_size} monomials"
-            )
+    if n < 0:
+        return []
+    out = [Monomial._canonical(())] if n == 0 else []
+    if max_size is not None and len(out) > max_size:
+        raise ResourceLimitError(f"basis in degree 0 exceeds cap of {max_size} monomials")
+    _walk(_steps(sorted(set(gens)), n), 0, n, (), out, max_size)
     return out
 
 
-def _monomials(ordered: list[Generator], start: int, rest: int, acc: tuple) -> Iterator[Monomial]:
-    """acc times each monomial of degree rest on ordered[start:], in
-    canonical order: earlier generators first, higher powers first."""
-    if rest == 0:
-        yield Monomial._canonical(acc)
-        return
-    for i in range(start, len(ordered)):
-        g = ordered[i]
-        if g.degree > rest:
-            break  # ordered ascends by degree
-        for e in range(1 if g.odd else rest // g.degree, 0, -1):
-            yield from _monomials(ordered, i + 1, rest - g.degree * e, acc + ((g, e),))
+def _steps(ordered: list[Generator], n: int) -> list[tuple]:
+    """(g, |g|, g odd, reach, top) for each g of ordered: reach is the bitmask
+    of the degrees <= n that the generators after g reach, each odd one used
+    at most once, and top its highest bit."""
+    mask = (1 << (n + 1)) - 1
+    reach = 1  # the empty product
+    steps = []
+    for g in reversed(ordered):
+        steps.append((g, g.degree, g.odd, reach, reach.bit_length() - 1))
+        # Multiples of an even degree d by doubling: d, 2d, 4d, ... covers 0..n.
+        shift = g.degree
+        while shift <= n:
+            reach |= (reach << shift) & mask
+            if g.odd:
+                break
+            shift <<= 1
+    steps.reverse()
+    return steps
+
+
+def _walk(
+    steps: list[tuple], start: int, rest: int, acc: _Powers, out: list[Monomial], cap: Optional[int]
+) -> None:
+    """Append acc times each monomial of degree rest > 0 on the generators of
+    steps[start:], in canonical order: earlier generators first, higher
+    powers first.  A branch is entered only where its rest is reachable."""
+    for i in range(start, len(steps)):
+        g, d, odd, reach, top = steps[i]
+        if d > rest:
+            break  # steps ascend by degree
+        e = 1 if odd else rest // d
+        r = rest - d * e
+        while e and r <= top:
+            if r == 0:
+                out.append(Monomial._canonical(acc + ((g, e),)))
+                if cap is not None and len(out) > cap:
+                    raise ResourceLimitError(
+                        f"basis in degree {out[-1].degree} exceeds cap of {cap} monomials"
+                    )
+            elif reach >> r & 1:
+                _walk(steps, i + 1, r, acc + ((g, e),), out, cap)
+            e -= 1
+            r += d
 
 
 def map_generators(

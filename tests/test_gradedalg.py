@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import sullivan
-from sullivan.constructors import biquotient_model
+from sullivan import gradedalg
+from sullivan.constructors import biquotient_model, hp_model
 from sullivan.dsl import parse_expression
 from sullivan.errors import ParityMismatchError, ResourceLimitError
 from sullivan.gradedalg import (
@@ -242,6 +243,36 @@ def test_basis_of_degree_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The generators of the pure-gen12 benchmark model, which are the same for
+# every seed: x0..x5 of degree 2 and y0..y5 of degree 3.
+PURE_GEN12 = tuple(Generator(f"x{k}", 2) for k in range(6)) + tuple(
+    Generator(f"y{k}", 3) for k in range(6)
+)
+HP2 = hp_model(2).generators
+
+
+@pytest.mark.parametrize(
+    "gens, degree",
+    [pytest.param(THM33_N3, d, id=f"thm33-n3-{d}") for d in (11, 24, 31)]
+    + [pytest.param(PURE_GEN12, 16, id="pure-gen12-16"), pytest.param(HP2, 400000, id="hp2-400000")],
+)
+def test_basis_of_degree_enters_no_dead_branch(monkeypatch, gens, degree):
+    walk = gradedalg._walk
+    calls = []
+
+    def counted(steps, start, rest, acc, out, cap):
+        before = len(out)
+        walk(steps, start, rest, acc, out, cap)
+        calls.append(len(out) - before)
+
+    monkeypatch.setattr(gradedalg, "_walk", counted)
+    basis = basis_of_degree(gens, degree)
+    assert min(calls) >= 1  # every call adds a monomial
+    assert len(calls) <= len(basis) + 1
+    if gens is HP2:
+        assert basis == [Monomial(((HP2[0], degree // 4),))]
 
 
 def test_substitute_identity_and_linearity(rng):

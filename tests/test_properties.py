@@ -455,6 +455,23 @@ def test_basis_enumeration_is_complete_and_duplicate_free(degree):
     assert all(_as_if_public(m) for m in basis)
 
 
+def _brute_force_size(degrees, n):
+    """The number of exponent vectors brute_monomials tries in degree n."""
+    size = 1
+    for d in degrees:
+        size *= 2 if d % 2 else n // d + 1
+    return size
+
+
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5), st.data())
+def test_basis_of_degree_matches_brute_force_on_random_generators(degrees, data):
+    top = max(n for n in range(31) if _brute_force_size(degrees, n) <= 5000)
+    n = data.draw(st.integers(min_value=0, max_value=top), label="n")
+    gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
+    want = sorted(brute_monomials(gens, n), key=lambda m: m.sort_key)
+    assert basis_of_degree(reversed(gens), n) == want
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_random_models_satisfy_d_squared_zero(seed):
