@@ -349,9 +349,11 @@ def basis_of_degree(
     """
     if n < 0:
         return []
-    out = [Monomial._canonical(())] if n == 0 else []
-    if max_size is not None and len(out) > max_size:
-        raise ResourceLimitError(f"basis in degree 0 exceeds cap of {max_size} monomials")
+    if n == 0:
+        if max_size is not None and max_size < 1:
+            raise ResourceLimitError(f"basis in degree 0 exceeds cap of {max_size} monomials")
+        return [Monomial._canonical(())]
+    out: list[Monomial] = []
     _walk(_steps(sorted(set(gens)), n), 0, n, (), out, max_size)
     return out
 
@@ -364,14 +366,16 @@ def _steps(ordered: list[Generator], n: int) -> list[tuple]:
     reach = 1  # the empty product
     steps = []
     for g in reversed(ordered):
+        if steps:  # fold in the generator after g
+            h = steps[-1][0]
+            # Multiples of an even degree d by doubling: d, 2d, 4d, ... covers 0..n.
+            shift = h.degree
+            while shift <= n:
+                reach |= (reach << shift) & mask
+                if h.odd:
+                    break
+                shift <<= 1
         steps.append((g, g.degree, g.odd, reach, reach.bit_length() - 1))
-        # Multiples of an even degree d by doubling: d, 2d, 4d, ... covers 0..n.
-        shift = g.degree
-        while shift <= n:
-            reach |= (reach << shift) & mask
-            if g.odd:
-                break
-            shift <<= 1
     steps.reverse()
     return steps
 

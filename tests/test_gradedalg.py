@@ -260,17 +260,17 @@ HP2 = hp_model(2).generators
 )
 def test_basis_of_degree_enters_no_dead_branch(monkeypatch, gens, degree):
     walk = gradedalg._walk
-    calls = []
+    added = []  # monomials added by each call of the walk
 
     def counted(steps, start, rest, acc, out, cap):
         before = len(out)
         walk(steps, start, rest, acc, out, cap)
-        calls.append(len(out) - before)
+        added.append(len(out) - before)
 
     monkeypatch.setattr(gradedalg, "_walk", counted)
     basis = basis_of_degree(gens, degree)
-    assert min(calls) >= 1  # every call adds a monomial
-    assert len(calls) <= len(basis) + 1
+    assert min(added) >= 1
+    assert len(added) <= len(basis) + 1
     if gens is HP2:
         assert basis == [Monomial(((HP2[0], degree // 4),))]
 
