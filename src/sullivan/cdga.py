@@ -94,6 +94,8 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
     rule gives e*c*(-1)^s * rest*q, with rest = a*g^(e-1)*b and s the odd
     factors of a plus odd(q) times the odd factors of b; rest*q comes from
     one merge of the two canonical monomials, whose parity joins s.
+    Integral d(g) coefficients are stored as int, so int coefficients in p
+    give int products and an int result; a Fraction p gives Fractions.
     """
     leibniz = model._leibniz
     acc: dict[Monomial, Fraction] = {}

@@ -120,10 +120,11 @@ class Cohomology:
         target = basis_of_degree(self.model.generators, n + 1, self.cap)
         target_index = {m: i for i, m in enumerate(target)}
         # __init__ checked the differential's shape, so every term of every
-        # column is in the target basis.
+        # column is in the target basis.  Each monomial goes in with the int
+        # coefficient 1, so a column stays int where d is integral.
         columns: list[Vec] = []
         for mono in basis:
-            dp = apply_d(self.model, Polynomial.monomial(mono))
+            dp = apply_d(self.model, Polynomial._nonzero({mono: 1}))
             columns.append({target_index[m]: c for m, c in dp.terms.items()})
         # d(d(g)) for each generator g of degree n - 1, from the columns: d∘d
         # is a derivation, so with every lower stage checked it vanishes on
@@ -148,7 +149,7 @@ class Cohomology:
         image = RowSpace()
         cocycles: list[Vec] = []
         for j in reversed(range(len(columns))):
-            residue, tag = image.add(columns.pop(), {j: Fraction(1)})
+            residue, tag = image.add(columns.pop(), {j: 1})
             if not residue:
                 cocycles.append(tag)
         # Rank-nullity double entry: dim ker + dim im = dim of the degree.

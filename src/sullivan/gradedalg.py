@@ -195,8 +195,11 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def _nonzero(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
-        """The polynomial of Fraction-valued terms, zeros dropped, unchecked."""
+    def _nonzero(cls, terms: dict[Monomial, Scalar]) -> "Polynomial":
+        """The polynomial of exact terms, zeros dropped, unchecked.  Values are
+        Fractions, except that Cohomology builds its d-matrix columns from
+        monomials with the int coefficient 1, so apply_d returns int values
+        there; such a polynomial never leaves the column build."""
         poly = object.__new__(cls)
         poly.terms = {m: c for m, c in terms.items() if c}
         return poly

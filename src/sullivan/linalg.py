@@ -2,21 +2,25 @@
 
 Vectors are dicts mapping column index to a nonzero int or Fraction.
 RowSpace keeps an echelon basis of a span: one primitive integer row per
-pivot (its leading column).  Inserting a vector eliminates it only until
-its leading column is not yet a pivot, with integer ``m*v - n*row`` steps
-(Bareiss, Math. Comp. 22, 1968); the stored rows are never touched again.
-Ranks and kernels need nothing more.  Where a canonical basis matters
-(cohomology representatives), ``basis()`` builds the reduced row echelon
-form as fresh rows and writes nothing back; that form is unique for the
-span, so it does not depend on the order of insertion.
+pivot (its leading column), held by pivot.  Inserting a vector eliminates
+it only until its leading column is not yet a pivot, with integer
+``m*v - n*row`` steps whose ratio n/m comes from a gcd (Bareiss, Math.
+Comp. 22, 1968); the stored rows are never touched again.  Ranks and
+kernels need nothing more.  A normal form clears a vector at the pivots it
+holds, smallest first, taking up the pivots each subtraction fills in, so
+its cost follows the pivots the vector hits, not the rank.  Where a
+canonical basis matters (cohomology representatives), ``basis()`` builds
+the reduced row echelon form as fresh rows, by the same clearing, and
+writes nothing back; that form is unique for the span, so it does not
+depend on the order of insertion.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 Vec = dict[int, Union[int, Fraction]]
 
@@ -31,19 +35,21 @@ def vec_sub_scaled(target: Vec, src: Vec, factor: Union[int, Fraction]) -> None:
             target.pop(k, None)
 
 
-def _eliminate(vec: Vec, row: Vec, ratio: Fraction) -> None:
-    """vec = m*vec - n*row in place, where ratio = n/m in lowest terms: a
-    nonzero multiple of vec - ratio*row, in integers when both are."""
-    m = ratio.denominator
+def _eliminate(vec: Vec, row: Vec, n: int, m: int) -> None:
+    """vec = m*vec - n*row in place, for n/m in lowest terms with m > 0: a
+    nonzero multiple of vec - (n/m)*row, in integers when both are."""
     if m != 1:
         for k in vec:
             vec[k] *= m
-    vec_sub_scaled(vec, row, ratio.numerator)
+    vec_sub_scaled(vec, row, n)
 
 
 def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
-    """vec and tag times one common rational: integers with gcd 1."""
+    """vec and tag times one common rational: integers with gcd 1.  Plain
+    copies when they already are."""
     values = [*vec.values(), *tag.values()]
+    if all(type(c) is int for c in values) and gcd(*values) == 1:
+        return dict(vec), dict(tag)
     den = lcm(*(c.denominator for c in values))
     num = gcd(*(c.numerator for c in values))
     return (
@@ -52,12 +58,32 @@ def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
     )
 
 
-def _clear(vec: Vec, rows: Iterable[tuple[int, Vec, Vec]]) -> Vec:
-    """vec cleared at each pivot of rows, (pivot, row, tag) triples in ascending pivot order."""
+def _clear(vec: Vec, rows_by_pivot: dict[int, Vec]) -> Vec:
+    """vec cleared at each pivot of rows_by_pivot (pivot -> row whose least
+    key is that pivot), in ascending pivot order.  A min-heap holds the
+    residue's keys that are pivots; a subtraction adds only keys past its
+    pivot, and those that are pivots join the heap.  The subtractions are
+    those of a sweep over every row in pivot order, so the result is too."""
     residue = dict(vec)
-    for pivot, row, _ in rows:
-        if pivot in residue:
-            vec_sub_scaled(residue, row, Fraction(residue[pivot]) / row[pivot])
+    heap = [k for k in residue if k in rows_by_pivot]
+    heapify(heap)
+    while heap:
+        pivot = heappop(heap)
+        c = residue.get(pivot)
+        if c is None:  # cancelled by an earlier subtraction, or a repeat
+            continue
+        row = rows_by_pivot[pivot]
+        factor = Fraction(c) / row[pivot]
+        for k, v in row.items():
+            old = residue.get(k)
+            if old is None:
+                residue[k] = -factor * v
+                if k in rows_by_pivot:
+                    heappush(heap, k)
+            elif new := old - factor * v:
+                residue[k] = new
+            else:
+                del residue[k]
     return residue
 
 
@@ -72,12 +98,17 @@ class RowSpace:
     """
 
     def __init__(self) -> None:
-        self.rows: list[tuple[int, Vec, Vec]] = []  # (pivot, row, tag), pivot ascending
-        self._pivots: dict[int, tuple[Vec, Vec]] = {}  # pivot -> (row, tag)
+        self._rows: dict[int, Vec] = {}  # pivot -> primitive integer row
+        self._tags: dict[int, Vec] = {}  # pivot -> that row's tag
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list[tuple[int, Vec, Vec]]:
+        """The stored (pivot, row, tag) triples, in ascending pivot order."""
+        return [(pivot, self._rows[pivot], self._tags[pivot]) for pivot in sorted(self._rows)]
 
     def add(self, vec: Vec, tag: Optional[Vec] = None) -> tuple[Vec, Vec]:
         """Eliminate vec against the space and insert the residue if nonzero.
@@ -89,36 +120,39 @@ class RowSpace:
         stepped = False
         while residue:
             pivot = min(residue)
-            hit = self._pivots.get(pivot)
-            if hit is None:
+            row = self._rows.get(pivot)
+            if row is None:
                 break
-            row, row_tag = hit
-            ratio = Fraction(residue[pivot], row[pivot])
-            _eliminate(residue, row, ratio)
-            _eliminate(rtag, row_tag, ratio)
+            # n/m = a/b in lowest terms with m > 0, as Fraction(a, b) has it
+            a, b = residue[pivot], row[pivot]
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            n, m = a // g, b // g
+            _eliminate(residue, row, n, m)
+            _eliminate(rtag, self._tags[pivot], n, m)
             stepped = True
         if stepped:
             residue, rtag = _primitive(residue, rtag)
         if residue:  # the loop stopped at a column that is not yet a pivot
-            self._pivots[pivot] = (residue, rtag)
-            self.rows.insert(bisect(self.rows, pivot, key=lambda r: r[0]), (pivot, residue, rtag))
+            self._rows[pivot] = residue
+            self._tags[pivot] = rtag
         return residue, rtag
 
     def reduce(self, vec: Vec) -> Vec:
         """The normal form of vec: zero at every pivot, and differing from
-        vec by an element of the span.  It is unique for the span."""
-        return _clear(vec, self.rows)
+        vec by an element of the span.  It is unique for the span.  Only
+        the pivots vec holds, or that clearing them fills in, are visited."""
+        return _clear(vec, self._rows)
 
     def basis(self) -> list[Vec]:
         """The reduced row echelon basis of the span, in pivot order: fresh
         Fraction rows with a leading 1 and zero at every other pivot.  The
         stored rows are left as they are."""
-        rref: list[tuple[int, Vec, Vec]] = []  # pivot descending
-        for pivot, row, _ in reversed(self.rows):
+        rref: dict[int, Vec] = {}  # pivot -> reduced row, filled from the last pivot
+        for pivot in sorted(self._rows, reverse=True):
+            row = self._rows[pivot]
             lead = row[pivot]
             # Rows past this pivot are already reduced and no earlier pivot
             # lies past it, so the rest of the row clears as a vector of its own.
-            rest = {k: Fraction(c) / lead for k, c in row.items() if k != pivot}
-            rest = _clear(rest, reversed(rref))
-            rref.append((pivot, {pivot: Fraction(1), **rest}, {}))
-        return [row for _, row, _ in reversed(rref)]
+            rest = _clear({k: Fraction(c) / lead for k, c in row.items() if k != pivot}, rref)
+            rref[pivot] = {pivot: Fraction(1), **rest}
+        return [rref[pivot] for pivot in sorted(rref)]

@@ -14,6 +14,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 from sullivan.cdga import FreeCDGA, apply_d
 from sullivan.gradedalg import Generator, Monomial, Polynomial
@@ -120,6 +121,77 @@ def dense_rank(rows):
                 matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
         rank += 1
     return rank
+
+
+def clear_by_sweep(vec, rows):
+    """vec cleared at each pivot of rows, (pivot, row, tag) triples in
+    ascending pivot order, by one sweep over every row: at each pivot the
+    residue still holds, subtract the multiple of the row that zeroes it."""
+    residue = dict(vec)
+    for pivot, row, _ in rows:
+        if pivot in residue:
+            factor = Fraction(residue[pivot]) / row[pivot]
+            for k, v in row.items():
+                new = residue.get(k, 0) - factor * v
+                if new:
+                    residue[k] = new
+                else:
+                    residue.pop(k, None)
+    return residue
+
+
+def rref_by_sweep(rows):
+    """The reduced row echelon basis of the span of rows, (pivot, row, tag)
+    triples in ascending pivot order: each row divided by its leading value
+    and swept clear at every later pivot, from the last pivot back."""
+    rref = []  # (pivot, reduced row, None), pivot ascending
+    for pivot, row, _ in reversed(rows):
+        lead = row[pivot]
+        rest = {k: Fraction(c) / lead for k, c in row.items() if k != pivot}
+        rref.insert(0, (pivot, {pivot: Fraction(1), **clear_by_sweep(rest, rref)}, None))
+    return [row for _, row, _ in rref]
+
+
+def echelon_by_fraction_ratio(vecs):
+    """{pivot: (row, tag)} of the echelon of vecs, each inserted with the tag
+    {i: 1}: scaled to integers with gcd 1, stepped by m*v - n*row with n/m =
+    Fraction(v[p], row[p]) at its least column p while p is a pivot, and
+    scaled so again before it is stored."""
+
+    def primitive(vec, tag):
+        values = [Fraction(c) for c in (*vec.values(), *tag.values())]
+        den = 1
+        for c in values:
+            den = den * c.denominator // gcd(den, c.denominator)
+        num = 0
+        for c in values:
+            num = gcd(num, (c * den).numerator)
+        return (
+            {k: (Fraction(c) * den / num).numerator for k, c in vec.items()},
+            {k: (Fraction(c) * den / num).numerator for k, c in tag.items()},
+        )
+
+    def step(vec, row, ratio):
+        out = {k: c * ratio.denominator for k, c in vec.items()}
+        for k, c in row.items():
+            out[k] = out.get(k, 0) - ratio.numerator * c
+        return {k: c for k, c in out.items() if c}
+
+    echelon = {}
+    for i, vec in enumerate(vecs):
+        vec, tag = primitive(vec, {i: 1})
+        stepped = False
+        while vec and min(vec) in echelon:
+            pivot = min(vec)
+            row, row_tag = echelon[pivot]
+            ratio = Fraction(vec[pivot], row[pivot])
+            vec, tag = step(vec, row, ratio), step(tag, row_tag, ratio)
+            stepped = True
+        if stepped:
+            vec, tag = primitive(vec, tag)
+        if vec:
+            echelon[min(vec)] = (vec, tag)
+    return echelon
 
 
 def _d_matrix(model, domain_basis, target_basis):

@@ -86,6 +86,28 @@ def test_apply_d_squares_to_zero_on_random_models(rng):
             assert apply_d(m, m.d(g)).is_zero()
 
 
+def test_apply_d_of_public_polynomials_has_fraction_coefficients():
+    # d is integral here, so its stored coefficients are ints; a polynomial
+    # built through the public constructors still gets Fractions back.
+    m = two_step_model()
+    A4, B4, V3, V7 = (Polynomial.gen(g) for g in (a4, b4, v3, v7))
+    built = [
+        V3,
+        Polynomial.gen(v7, 1),
+        Polynomial.scalar(2) * V3,
+        Polynomial.monomial(next(iter((V3 * A4).terms)), 3),
+        V3 * B4 ** 2,
+        V3 * V7 + 3 * A4 * V7,
+        Polynomial({next(iter(V7.terms)): 5}),
+    ]
+    images = [apply_d(m, p) for p in built]
+    assert all(not image.is_zero() for image in images)
+    assert all(type(c) is Fraction for image in images for c in image.terms.values())
+    # Only the d-matrix build passes the int coefficient 1, and gets ints.
+    column = apply_d(m, Polynomial._nonzero({next(iter((V3 * V7).terms)): 1}))
+    assert column.terms and all(type(c) is int for c in column.terms.values())
+
+
 def test_validate_accepts_good_model():
     assert validate(two_step_model()) == []
 

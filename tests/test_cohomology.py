@@ -161,6 +161,21 @@ def test_class_coordinates_are_fractions():
     assert all(type(c) is Fraction for c in coordinates)
 
 
+def test_stages_eliminate_in_integers_and_answers_stay_fractions():
+    """On an integral model the d-matrix columns, the kernel tags and so the
+    cocycles and image rows are ints; representatives are Fractions."""
+    model = biquotient_model(classifying_data("thm34"))
+    coh = Cohomology(model)
+    for n in range(13):
+        stage = coh._stage(n)
+        values = [c for z in stage.cocycles for c in z.values()]
+        values += [c for _, row, tag in stage.image.rows for c in (*row.values(), *tag.values())]
+        assert all(type(c) is int for c in values)
+    assert any(coh._stage(n).cocycles and coh._stage(n).image.rank for n in range(13))
+    reps = [p for n in range(13) for p in coh.representatives(n)]
+    assert reps and all(type(c) is Fraction for p in reps for c in p.terms.values())
+
+
 def test_cup_product_shares_a_cohomology(monkeypatch):
     model = biquotient_model(classifying_data("thm34"))
     reps = betti(model, 12, representatives=True).representatives

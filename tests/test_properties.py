@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -51,12 +52,15 @@ from helpers import (
     betti_by_elimination,
     brute_monomials,
     bubble_sort_with_sign,
+    clear_by_sweep,
     dense_rank,
+    echelon_by_fraction_ratio,
     leibniz_d,
     product_by_bubble_sort,
     quotient_dims_by_elimination,
     random_pure_model,
     random_reducible_model,
+    rref_by_sweep,
 )
 
 EVENS = (Generator("x2", 2), Generator("x4", 4), Generator("y4", 4))
@@ -445,6 +449,33 @@ def test_row_space_answers_are_exact_and_basis_keeps_the_tags(vecs, vec):
         assert {k: x for k, x in total.items() if x} == row
     assert _exact(space.reduce(vec).values())
     assert space.rows == before and _integer_rows(space)
+
+
+wide_vectors = st.dictionaries(
+    st.integers(0, 40), small_ints | coefficients, min_size=1, max_size=5
+)
+
+
+@given(st.lists(wide_vectors, max_size=12), st.lists(wide_vectors, max_size=4))
+@example(vecs=[{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}], probes=[{0: 1}])
+def test_clearing_visits_the_pivots_a_sweep_would(vecs, probes):
+    """Sparse rows over 41 columns: a subtraction often fills in a pivot the
+    vector did not hold (in the example, clearing {0: 1} at pivot 0 fills in
+    pivot 1, whose row fills in pivot 2)."""
+    space = RowSpace()
+    for i, v in enumerate(vecs):
+        space.add(v, {i: 1})
+    rows = space.rows
+    for probe in [*probes, *vecs]:
+        normal = space.reduce(probe)
+        assert list(normal.items()) == list(clear_by_sweep(probe, rows).items())
+    assert space.basis() == rref_by_sweep(rows)
+    reference = echelon_by_fraction_ratio(vecs)
+    assert {pivot: (row, tag) for pivot, row, tag in rows} == reference
+    for pivot, row, tag in rows:
+        values = [*row.values(), *tag.values()]
+        assert all(type(c) is int for c in values)
+        assert gcd(*values) == 1 and min(row) == pivot
 
 
 @given(st.integers(min_value=0, max_value=14))
