@@ -94,14 +94,20 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
     rule gives e*c*(-1)^s * rest*q, with rest = a*g^(e-1)*b and s the odd
     factors of a plus odd(q) times the odd factors of b; rest*q comes from
     one merge of the two canonical monomials, whose parity joins s.
-    Integral d(g) coefficients are stored as int, so int coefficients in p
-    give int products and an int result; a Fraction p gives Fractions.
+    Integral d(g) coefficients are stored as int.  A coefficient of p that is
+    the int 1, as in each d-matrix column of Cohomology, scales nothing, so
+    the result is int where d is integral; public polynomials hold
+    Fractions and give Fractions.  A factor's odd neighbours are counted
+    only once some factor has a nonzero differential, and zeros are
+    filtered out only when a sum formed here cancels.
     """
     leibniz = model._leibniz
     acc: dict[Monomial, Fraction] = {}
+    cancelled = False
     for mono, coeff in p.terms.items():
+        unit = type(coeff) is int and coeff == 1
         powers = mono.powers
-        odd_total = sum(g.odd for g, _ in powers)
+        odd_total = None
         odd_before = 0
         for i, (g, e) in enumerate(powers):
             terms = leibniz.get(g)
@@ -109,6 +115,8 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
                 names = unknown_names(p, model.generators)
                 raise UnknownGeneratorError(f"polynomial mentions unknown generators: {names}")
             if terms:
+                if odd_total is None:
+                    odd_total = sum(h.odd for h, _ in powers)
                 lowered = ((g, e - 1),) if e > 1 else ()
                 rest = powers[:i] + lowered + powers[i + 1 :]
                 odd_after = odd_total - odd_before - g.odd
@@ -116,13 +124,16 @@ def apply_d(model: FreeCDGA, p: Polynomial) -> Polynomial:
                     merged, parity = _times(rest, q)
                     if merged is not None:
                         m = Monomial._canonical(merged)
-                        term = coeff * (e * c)
+                        term = (c if e == 1 else e * c) if unit else coeff * (e * c)
                         if (odd_before + q_odd * odd_after + parity) & 1:
                             term = -term
                         old = acc.get(m)
-                        acc[m] = term if old is None else old + term
+                        if old is not None:
+                            term = old + term
+                            cancelled |= not term
+                        acc[m] = term
             odd_before += g.odd
-    return Polynomial._nonzero(acc)
+    return Polynomial._nonzero({m: c for m, c in acc.items() if c} if cancelled else acc)
 
 
 def validate(model: FreeCDGA) -> list[str]:

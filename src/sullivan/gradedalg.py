@@ -100,8 +100,8 @@ class Monomial:
     def _canonical(cls, powers: _Powers) -> "Monomial":
         """The monomial of powers that are canonical by construction, unchecked."""
         mono = object.__new__(cls)
-        object.__setattr__(mono, "powers", powers)
-        object.__setattr__(mono, "_hash", hash((powers,)))
+        _set_powers(mono, powers)
+        _set_hash(mono, hash((powers,)))
         return mono
 
     def __hash__(self) -> int:
@@ -137,6 +137,11 @@ class Monomial:
     def __repr__(self) -> str:
         return f"Monomial<{self}>"
 
+
+# The setters of Monomial's slot descriptors, for _canonical: they skip the
+# lookup by name that object.__setattr__ makes on every call.
+_set_powers = Monomial.powers.__set__
+_set_hash = Monomial._hash.__set__
 
 UNIT = Monomial()
 
@@ -196,12 +201,13 @@ class Polynomial:
 
     @classmethod
     def _nonzero(cls, terms: dict[Monomial, Scalar]) -> "Polynomial":
-        """The polynomial of exact terms, zeros dropped, unchecked.  Values are
-        Fractions, except that Cohomology builds its d-matrix columns from
-        monomials with the int coefficient 1, so apply_d returns int values
-        there; such a polynomial never leaves the column build."""
+        """The polynomial that owns terms, exact and nonzero, unchecked and not
+        copied.  Values are Fractions, except that Cohomology builds its
+        d-matrix columns from monomials with the int coefficient 1, so
+        apply_d returns int values there; such a polynomial never leaves the
+        column build."""
         poly = object.__new__(cls)
-        poly.terms = {m: c for m, c in terms.items() if c}
+        poly.terms = terms
         return poly
 
     # -- constructors ---------------------------------------------------
@@ -222,7 +228,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(m: Monomial, c: Scalar = 1) -> "Polynomial":
-        return Polynomial._nonzero({m: Fraction(c)})
+        return Polynomial({m: c})
 
     # -- structure ------------------------------------------------------
 
@@ -283,7 +289,7 @@ class Polynomial:
                     c = -c1 * c2 if parity & 1 else c1 * c2
                     old = acc.get(mono)
                     acc[mono] = c if old is None else old + c
-        return Polynomial._nonzero(acc)
+        return Polynomial._nonzero({m: c for m, c in acc.items() if c})
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

@@ -46,10 +46,14 @@ def _eliminate(vec: Vec, row: Vec, n: int, m: int) -> None:
 
 def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
     """vec and tag times one common rational: integers with gcd 1.  Plain
-    copies when they already are."""
+    copies when they already are, found by one gcd of all the values, which
+    raises TypeError on a Fraction among them."""
     values = [*vec.values(), *tag.values()]
-    if all(type(c) is int for c in values) and gcd(*values) == 1:
-        return dict(vec), dict(tag)
+    try:
+        if gcd(*values) == 1:
+            return dict(vec), dict(tag)
+    except TypeError:
+        pass
     den = lcm(*(c.denominator for c in values))
     num = gcd(*(c.numerator for c in values))
     return (
