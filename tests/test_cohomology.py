@@ -335,6 +335,28 @@ def test_empty_inputs_take_the_general_path():
     assert RowSpace().add({}) == ({}, {})
 
 
+@pytest.mark.parametrize(
+    "vec, tag, residue, rtag",
+    [
+        ({0: 3, 2: -2}, {5: 1}, {0: 3, 2: -2}, {5: 1}),
+        ({0: Fraction(1, 2), 1: Fraction(-1, 3)}, {4: Fraction(1, 6)}, {0: 3, 1: -2}, {4: 1}),
+        ({0: 2, 1: Fraction(2, 3)}, {4: 1}, {0: 6, 1: 2}, {4: 3}),
+        ({0: 4, 3: -6}, {1: 2}, {0: 2, 3: -3}, {1: 1}),
+        ({}, {7: 4}, {}, {7: 1}),
+    ],
+    ids=["int", "fraction", "mixed", "int-gcd-2", "empty-vec"],
+)
+def test_row_space_add_returns_primitive_integers_and_leaves_its_arguments(
+    vec, tag, residue, rtag
+):
+    before = (dict(vec), dict(tag))
+    got = RowSpace().add(vec, tag)
+    assert (vec, tag) == before
+    assert got == (residue, rtag)
+    assert got[0] is not vec and got[1] is not tag
+    assert all(type(c) is int for part in got for c in part.values())
+
+
 def test_ring_presentation_validates_input():
     x = Generator("x4", 4)
     odd = Generator("z3", 3)

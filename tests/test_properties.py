@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -49,6 +50,7 @@ from sullivan.presets import classifying_data, pontryagin_setup
 from sullivan.reduction import reduce, replay
 
 from helpers import (
+    _d_matrix,
     betti_by_elimination,
     brute_monomials,
     bubble_sort_with_sign,
@@ -212,6 +214,53 @@ def test_apply_d_matches_the_leibniz_rule_on_single_factors(model, terms):
     for m, c in terms.items():
         want = want + leibniz_d(model, m) * c
     assert apply_d(model, Polynomial(terms)) == want
+
+
+def _inserted_columns(coh, n):
+    """Build coh's stage n and return it with the columns it inserts into
+    its image, by basis index: each goes in with the tag {index: 1}."""
+    columns = {}
+
+    class Recording(RowSpace):
+        def add(self, vec, tag=None):
+            ((j, one),) = tag.items()
+            assert one == 1 and j not in columns
+            columns[j] = dict(vec)
+            return super().add(vec, tag)
+
+    with mock.patch.object(cohomology, "RowSpace", Recording):
+        stage = coh._stage(n)
+    return stage, columns
+
+
+@given(
+    free_differentials()
+    | st.integers(min_value=0, max_value=2 ** 32 - 1).map(
+        lambda seed: random_pure_model(random.Random(seed))
+    )
+)
+@settings(deadline=None)
+def test_stage_columns_are_the_leibniz_differential_of_each_basis_monomial(model):
+    integral = all(
+        c.denominator == 1 for g in model.generators for c in model.d(g).terms.values()
+    )
+    coh = Cohomology(model)
+    for n in range(13):
+        try:
+            stage, columns = _inserted_columns(coh, n)
+        except ValueError as e:  # a free differential need not square to zero
+            assert str(e).startswith("not a CDGA: d(d(")
+            break
+        target = basis_of_degree(model.generators, n + 1)
+        target_index = {m: i for i, m in enumerate(target)}
+        dense = _d_matrix(model, stage.basis, target)
+        assert sorted(columns) == list(range(len(stage.basis)))
+        for j, mono in enumerate(stage.basis):
+            image = apply_d(model, Polynomial.monomial(mono))
+            assert columns[j] == {target_index[m]: c for m, c in image.terms.items()}
+            assert [columns[j].get(i, 0) for i in range(len(target))] == dense[j]
+            if integral:
+                assert all(type(c) is int for c in columns[j].values())
 
 
 def _as_if_public(m):

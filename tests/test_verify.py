@@ -4,7 +4,7 @@ import pytest
 
 from sullivan import verify
 from sullivan.cdga import FreeCDGA, Morphism, identity_morphism
-from sullivan.cohomology import is_quasi_iso
+from sullivan.cohomology import betti, is_quasi_iso
 from sullivan.constructors import biquotient_model, hp_model, projectivize
 from sullivan.dsl import parse_source
 from sullivan.gradedalg import Polynomial
@@ -236,3 +236,62 @@ def test_model_evidence_that_does_not_parse_fails_its_check(monkeypatch):
         "dv7-exponent: thm33_verbatim_n2.model -> "
         "line 1, column 27: generator 'x4' declared twice"
     ) in evidence.detail
+
+
+def _betti_without_d(monkeypatch):
+    # each Betti number is taken of the model with its differential dropped
+    monkeypatch.setattr(verify, "betti", lambda model, d: betti(FreeCDGA(model.generators), d))
+
+
+def _betti_of_a_point(monkeypatch):
+    monkeypatch.setattr(verify, "betti", lambda model, d: betti(FreeCDGA(()), d))
+
+
+def _doubled_d(name):
+    # name -> 2*name is an isomorphism: the Betti numbers and the end of the
+    # reduction stay, and only the differentials as written change
+    def corrupt(monkeypatch):
+        build = verify.biquotient_model
+
+        def doubled(data):
+            model = build(data)
+            g = model.gen(name)
+            return FreeCDGA(model.generators, {**model.differential, g: model.d(g) * 2})
+
+        monkeypatch.setattr(verify, "biquotient_model", doubled)
+
+    return corrupt
+
+
+def _contractibility_unrecorded(monkeypatch):
+    recorded = verify.discrepancies
+    monkeypatch.setattr(
+        verify,
+        "discrepancies",
+        lambda case: tuple(d for d in recorded(case) if d.key != "contractibility"),
+    )
+
+
+@pytest.mark.parametrize(
+    "case, n, check, corrupt",
+    [
+        ("thm34", None, "pe-betti", _betti_without_d),
+        ("thm34", None, "biquotient-model", _doubled_d("v3")),
+        ("prop31", 2, "biquotient-model", _doubled_d("b3")),
+        ("prop31", 2, "contractibility-conflict", _betti_of_a_point),
+        ("prop31", 2, "contractibility-conflict", _contractibility_unrecorded),
+    ],
+    ids=[
+        "pe-betti-without-d",
+        "thm34-biquotient-model-doubled-dv3",
+        "prop31-biquotient-model-doubled-db3",
+        "contractibility-of-a-point",
+        "contractibility-unrecorded",
+    ],
+)
+def test_a_corruption_fails_its_check_and_no_other(monkeypatch, case, n, check, corrupt):
+    before = {c.name: c.ok for c in run_case(case, n).checks}
+    corrupt(monkeypatch)
+    after = {c.name: c.ok for c in run_case(case, n).checks}
+    assert before[check]
+    assert after == {**before, check: False}
