@@ -163,11 +163,23 @@ def _violations(model: FreeCDGA) -> Iterator[tuple[Generator, str]]:
             yield g, f"d(d({g.name})) = {dd} is nonzero"
 
 
+def pure_check(model: FreeCDGA) -> bool:
+    """True when even generators are closed and odd differentials live in
+    the even subalgebra."""
+    evens = set(model.even_generators())
+    return all(g.odd and dg.generators() <= evens for g, dg in model.differential.items())
+
+
+def refuse_non_cdga(model: FreeCDGA, role: str = "") -> None:
+    """Raise ValueError with every violation of a model that breaks the CDGA axioms."""
+    if bad := validate(model):
+        raise ValueError((f"{role} is " if role else "") + "not a CDGA: " + "; ".join(bad))
+
+
 def checked(model: FreeCDGA, producer: str) -> FreeCDGA:
     """model, after asserting that it satisfies the CDGA axioms; a violation
     is a defect of producer."""
-    bad = validate(model)
-    if bad:
+    if bad := validate(model):
         raise AssertionError(f"{producer} produced an invalid model: " + "; ".join(bad))
     return model
 

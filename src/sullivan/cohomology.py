@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check, validate
+from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check
+from sullivan.cdga import pure_check, refuse_non_cdga
 from sullivan.errors import (
     DegreeMismatchError, NotACocycleError, ResourceLimitError, UnknownGeneratorError
 )
@@ -221,18 +222,17 @@ class CohomologyReport:
 
 
 def _elliptic_betti(coh: Cohomology, max_degree: Optional[int]) -> Optional[list[int]]:
-    """b_0 .. b_N, cut at max_degree, if the model is pure with #even = #odd and
-    H_0 = Q[evens]/(d odds) is finite, else None.  Then H = H_0, zero above
+    """b_0 .. b_N, cut at max_degree, if pure_check holds with #even = #odd and
+    H_0 (h0_presentation) is finite, else None.  Then H = H_0, zero above
     N = sum|y| - sum(|x| - 1) (Felix-Halperin-Thomas, GTM 205, section 32), and
     a pure power of each even x is a lead by degree N + max|x|: exactly when
     H_0 is finite, so the basis cut there certifies both ways."""
     model = coh.model
     evens, odds = model.even_generators(), model.odd_generators()
-    pure = all(g.odd and dg.generators() <= set(evens) for g, dg in model.differential.items())
-    if len(evens) != len(odds) or not pure:
+    if len(evens) != len(odds) or not pure_check(model):
         return None
     top = sum(g.degree for g in odds) - sum(g.degree - 1 for g in evens)
-    relations = tuple(model.differential.values())
+    relations = h0_presentation(model).relations
     leads = _groebner(evens, relations, top + max((g.degree for g in evens), default=0), coh.cap)
     powered = {lead.index(max(lead)) for lead in leads if sum(lead) == max(lead)}
     if len(powered) < len(evens):
@@ -347,12 +347,19 @@ class RingPresentation:
         dupes = repeated_names(g.name for g in self.generators)
         if dupes:
             raise ValueError(f"duplicate generator name {dupes[0]}")
+        known = frozenset(self.generators)
         for r in self.relations:
-            names = unknown_names(r, self.generators)
+            names = unknown_names(r, known)
             if names:
                 raise ValueError(f"relation {r} mentions unknown generators: {names}")
             if not r.is_homogeneous():
                 raise DegreeMismatchError(f"relation {r} is not homogeneous")
+
+
+def h0_presentation(model: FreeCDGA) -> RingPresentation:
+    """H_0 = Q[even generators]/(d of the odd generators) of a pure model, whose
+    only nonzero differentials are those of its odd generators."""
+    return RingPresentation(model.even_generators(), tuple(model.differential.values()))
 
 
 def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int]:
@@ -479,10 +486,8 @@ def is_quasi_iso(m: Morphism, max_degree: int) -> QuasiIsoReport:
     The rank of H^n(f) is that of the pushed classes reduced modulo the
     target's coboundaries: on cocycles, that reduction has kernel exactly them."""
     check_bound(max_degree, "max_degree")
-    for side, model in (("source", m.source), ("target", m.target)):
-        violations = validate(model)
-        if violations:
-            raise ValueError(f"{side} is not a CDGA: " + "; ".join(violations))
+    refuse_non_cdga(m.source, "source")
+    refuse_non_cdga(m.target, "target")
     violations = compose_and_check(m)
     if violations:
         raise ValueError("not a CDGA morphism: " + "; ".join(violations))

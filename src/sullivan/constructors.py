@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from sullivan.cdga import FreeCDGA, apply_d, checked, validate
+from sullivan.cdga import FreeCDGA, apply_d, checked, pure_check, validate
 from sullivan.errors import (
     DegreeMismatchError,
     NotACocycleError,
@@ -182,17 +182,3 @@ def biquotient_model(data: ClassifyingData) -> FreeCDGA:
         diff[suspensions[g]] = img_h - img_k
     gens = data.wh + data.wk + tuple(suspensions[g] for g in data.v)
     return checked(FreeCDGA(gens, diff), "biquotient_model")
-
-
-def pure_check(model: FreeCDGA) -> bool:
-    """True when even generators are closed and odd differentials live in
-    the even subalgebra."""
-    evens = set(model.even_generators())
-    for g in model.generators:
-        dg = model.d(g)
-        if not g.odd:
-            if not dg.is_zero():
-                return False
-        elif not dg.generators() <= evens:
-            return False
-    return True

@@ -185,7 +185,7 @@ def _times(p: _Powers, q: _Powers) -> tuple[Optional[_Powers], int]:
 
 
 class Polynomial:
-    """Sparse polynomial: canonical monomial -> nonzero Fraction."""
+    """Sparse polynomial: canonical monomial -> nonzero Fraction, from int or Fraction input."""
 
     __slots__ = ("terms",)
 
@@ -194,6 +194,8 @@ class Polynomial:
         if terms:
             for m, c in terms.items():
                 if type(c) is not Fraction:
+                    if not isinstance(c, (int, Fraction)):
+                        raise TypeError(f"coefficient {c!r} of {m} is not an int or a Fraction")
                     c = Fraction(c)
                 if c:
                     clean[m] = c
@@ -218,7 +220,7 @@ class Polynomial:
 
     @staticmethod
     def scalar(c: Scalar) -> "Polynomial":
-        return Polynomial({UNIT: Fraction(c)})
+        return Polynomial({UNIT: c})
 
     @staticmethod
     def gen(g: Generator, exp: int = 1) -> "Polynomial":
@@ -249,7 +251,7 @@ class Polynomial:
         return degrees.pop()
 
     def generators(self) -> frozenset[Generator]:
-        return frozenset(g for m in self.terms for g in m.generators())
+        return frozenset(g for m in self.terms for g, _ in m.powers)
 
     def coefficient(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))

@@ -37,7 +37,7 @@ from sullivan.cdga import (
     change_of_variable,
     compose_and_check,
     linear_part,
-    validate,
+    refuse_non_cdga,
 )
 from sullivan.cohomology import betti, check_bound
 from sullivan.errors import VerificationFailedError
@@ -162,9 +162,7 @@ def reduce(
     check_degree, or a model that breaks the CDGA axioms, raises ValueError.
     """
     check_bound(check_degree, "check_degree")
-    violations = validate(model)
-    if violations:
-        raise ValueError("not a CDGA: " + "; ".join(violations))
+    refuse_non_cdga(model)
     current = model
     log = ReductionLog(check_degree, model, [])
     while (pair := find_reducible(current)) is not None:

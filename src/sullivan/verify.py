@@ -9,10 +9,10 @@ dimension of the total space equals the bundle rank times the total Betti
 dimension of the base, for every catalog base, rank 2 and 3, and several
 choices of characteristic cocycles.
 
-The presentation-dims checks read H_0 = Q[even generators]/(d of the odd
-generators) from the pure model they name (Felix-Halperin-Thomas, GTM 205,
-section 32), never from a ring typed out by hand.  thm33 and prop32 check
-Betti numbers at every n, against the family's series.
+The presentation-dims checks read H_0 of the pure model they name from
+cohomology.h0_presentation, the ring betti reads on certified pure models,
+never from a ring typed out by hand; their expected series are literals.
+thm33 and prop32 check Betti numbers at every n, against the family's series.
 
 The reduced thm33/thm34 models are the endpoints of the shipped comparison
 maps (``presets.comparison_morphism``), which the reductions must reach
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from sullivan.cdga import FreeCDGA, Morphism, rename_generators, validate
-from sullivan.cohomology import RingPresentation, betti, is_quasi_iso, quotient_ring_dims
+from sullivan.cohomology import betti, h0_presentation, is_quasi_iso, quotient_ring_dims
 from sullivan.constructors import biquotient_model, hp_model, projectivize, sphere_model
 from sullivan.constructors import PontryaginData
 from sullivan.dsl import DslError, parse_classifying, parse_model, parse_morphism
@@ -84,10 +84,7 @@ class CaseReport:
 
 def _h0_dims(model: FreeCDGA, max_degree: int) -> dict[int, int]:
     """Nonzero graded dimensions up to max_degree of H_0 of a pure model."""
-    pres = RingPresentation(
-        model.even_generators(), tuple(model.d(g) for g in model.odd_generators())
-    )
-    return {n: d for n, d in quotient_ring_dims(pres, max_degree).items() if d}
+    return {n: d for n, d in quotient_ring_dims(h0_presentation(model), max_degree).items() if d}
 
 
 def _input_betti(log: ReductionLog, max_degree: int) -> dict[int, int]:

@@ -4,11 +4,15 @@ their algebra, the certificate of a reduction step, a replay that diverges
 from its log, a characteristic class past a bundle's rank or below index 1,
 a class of a bundle of rank 10^9 (raised without work sized by the rank),
 a malformed model handed to cohomology, to the reduction or to the
-quasi-isomorphism check, and a cohomology handed in with another model.
+quasi-isomorphism check, a cohomology handed in with another model, a
+coefficient that is neither an int nor a Fraction, and the argument checks
+of the constructors, the structural moves, substitution and the presets.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +20,7 @@ from sullivan.cdga import (
     FreeCDGA,
     Morphism,
     apply_d,
+    cancel_acyclic_pair,
     change_of_variable,
     compose_and_check,
     identity_morphism,
@@ -39,7 +44,8 @@ from sullivan.constructors import (
     sphere_model,
 )
 from sullivan.dsl import parse_pontryagin
-from sullivan.gradedalg import Generator, Polynomial
+from sullivan.gradedalg import Generator, Monomial, Polynomial, substitute
+from sullivan.presets import classifying_data, comparison_morphism
 from sullivan.reduction import Cancellation, ReduciblePair, _certified, reduce, replay
 
 from helpers import within_memory
@@ -57,7 +63,8 @@ INHOMOGENEOUS = FreeCDGA((x2, y3), {y3: X2 ** 2 + X2})
 TWO_INHOMOGENEOUS = FreeCDGA((x2, y3, b3), {y3: X2 ** 2 + X2, b3: X2 ** 2 - X2 ** 3})
 HP1_WITHOUT_D = FreeCDGA((x4, x7))
 D_SQUARED_NONZERO = FreeCDGA((a2, b3, c4), {c4: B3 * A2, b3: A2 ** 2})  # d(d(c4)) = a2^3
-v3 = Generator("v3", 3)
+v3, v1 = Generator("v3", 3), Generator("v1", 1)
+X4_SQUARED = Monomial(((x4, 2),))
 V3_TO_2X4, V3_TO_3X4 = (FreeCDGA((v3, x4), {v3: k * X4}) for k in (2, 3))
 
 
@@ -282,6 +289,108 @@ CASES = [
         "cup_product-second-not-a-cocycle",
         lambda: cup_product(HP1, X4, X7),
         ("NotACocycleError", "d(x7) = x4^2 is nonzero"),
+    ),
+    (
+        "Polynomial-float-coefficient",
+        lambda: Polynomial({X4_SQUARED: 0.1}),
+        ("TypeError", "coefficient 0.1 of x4^2 is not an int or a Fraction"),
+    ),
+    (
+        "Polynomial-string-coefficient",
+        lambda: Polynomial({X4_SQUARED: "1/3"}),
+        ("TypeError", "coefficient '1/3' of x4^2 is not an int or a Fraction"),
+    ),
+    (
+        "Polynomial.scalar-float",
+        lambda: Polynomial.scalar(0.1),
+        ("TypeError", "coefficient 0.1 of 1 is not an int or a Fraction"),
+    ),
+    (
+        "Polynomial-negative-power",
+        lambda: X4 ** -1,
+        ("ValueError", "negative power of a polynomial"),
+    ),
+    (
+        "substitute-inhomogeneous",
+        lambda: substitute(X7, x4, X4 + X4 ** 2),
+        ("DegreeMismatchError", "replacement for x4 is inhomogeneous: degrees [4, 8]"),
+    ),
+    (
+        "substitute-wrong-degree",
+        lambda: substitute(X4, x4, X4 ** 2),
+        ("DegreeMismatchError", "replacement for x4 has degree 8, expected 4"),
+    ),
+    (
+        "FreeCDGA.gen-unknown-name",
+        lambda: HP1.gen("z4"),
+        ("UnknownGeneratorError", "no generator named z4"),
+    ),
+    (
+        "change_of_variable-unknown-generator",
+        lambda: change_of_variable(HP1, z4, t4, Z4),
+        ("UnknownGeneratorError", "no generator z4 in the model"),
+    ),
+    (
+        "change_of_variable-fresh-name-in-use",
+        lambda: change_of_variable(HP1, x4, Generator("x7", 4), X4),
+        ("ValueError", "fresh name x7 already in use"),
+    ),
+    (
+        "change_of_variable-inhomogeneous-relation",
+        lambda: change_of_variable(HP1, x4, t4, X4 + X4 ** 2),
+        ("DegreeMismatchError", "relation must be homogeneous of degree 4, got x4 + x4^2"),
+    ),
+    (
+        "cancel_acyclic_pair-even-generator",
+        lambda: cancel_acyclic_pair(HP1, x4),
+        ("NotLinearDifferentialError", "x4 has even degree 4"),
+    ),
+    (
+        "cancel_acyclic_pair-odd-target",
+        lambda: cancel_acyclic_pair(FreeCDGA((v3, u3), {v3: Polynomial.gen(u3)}), v3),
+        ("NotLinearDifferentialError", "d(v3) lands on odd generator u3"),
+    ),
+    (
+        "compose_and_check-non-source-generator",
+        lambda: compose_and_check(Morphism(HP1, HP1, {z4: X4})),
+        ("returned", "image assigned to non-source generator z4"),
+    ),
+    (
+        "compose_and_check-inhomogeneous-image",
+        lambda: compose_and_check(Morphism(FreeCDGA((x4,)), HP1, {x4: X4 + X4 ** 2})),
+        ("returned", "image of x4 is inhomogeneous: x4 + x4^2"),
+    ),
+    (
+        "to_vector-wrong-degree",
+        lambda: Cohomology(HP1).to_vector(X4, 8),
+        ("DegreeMismatchError", "term x4 has degree 4, expected 8"),
+    ),
+    (
+        "hp_model-n-below-1",
+        lambda: hp_model(0),
+        ("UnsupportedDimensionError", "need n >= 1, got 0"),
+    ),
+    (
+        "biquotient_model-non-middle-generator",
+        lambda: biquotient_model(
+            ClassifyingData((a4,), (b4,), (v4,), phi_h={a4: Polynomial.gen(a4)})
+        ),
+        ("UnknownGeneratorError", "phi_h assigned to non-middle generator a4"),
+    ),
+    (
+        "biquotient_model-middle-degree-1",
+        lambda: biquotient_model(ClassifyingData((a4,), (b4,), (v1,))),
+        ("DegreeMismatchError", "middle generator v1 has degree 1; cannot suspend"),
+    ),
+    (
+        "classifying_data-thm33-coefficient-count",
+        lambda: classifying_data("thm33", 2, (Fraction(1),)),
+        ("ValueError", "case thm33 at n = 2 needs 4 coefficients, got 1"),
+    ),
+    (
+        "comparison_morphism-case-without-one",
+        lambda: comparison_morphism("prop32"),
+        ("ValueError", "case prop32 has no comparison morphism"),
     ),
 ]
 
