@@ -7,9 +7,13 @@ exceeding exponent 1.  A polynomial is a sparse map from monomials to
 nonzero Fractions.  Reordering factors follows the Koszul rule: swapping
 two odd factors flips the sign, and the square of any odd factor is zero.
 
-Every product of two canonical monomials, in Polynomial.__mul__ and in the
-Leibniz rule, is one linear merge by sort key that counts the swaps of odd
-factors (_times), so products have one normal form.
+Every product of two canonical monomials, in Polynomial.__mul__,
+map_generators and the Leibniz rule, is one linear merge by sort key that
+counts the swaps of odd factors (_times), so products have one normal form.
+Polynomial.__mul__ and map_generators share one product of term dicts keyed
+by powers (_product).  The power of a one-term polynomial is a closed form:
+zero from the square on when a factor is odd, else every exponent and the
+coefficient raised.
 
 Generators and monomials are immutable and store, once, what products read
 per term: the hash, and a generator's parity and sort key.  Only the public
@@ -184,6 +188,29 @@ def _times(p: _Powers, q: _Powers) -> tuple[Optional[_Powers], int]:
     return tuple(out) + p[i:] + q[j:], parity
 
 
+_Terms = dict[_Powers, Scalar]
+
+
+def _product(a: _Terms, b: _Terms) -> _Terms:
+    """The product of two term dicts {powers: coefficient}: every pair of
+    terms merged by _times with its Koszul sign, and the sums that cancel
+    dropped."""
+    acc: _Terms = {}
+    for p, c1 in a.items():
+        for q, c2 in b.items():
+            powers, parity = _times(p, q)
+            if powers is not None:
+                c = -c1 * c2 if parity & 1 else c1 * c2
+                old = acc.get(powers)
+                acc[powers] = c if old is None else old + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _raw(p: "Polynomial") -> _Terms:
+    """The term dict of p, keyed by the monomials' powers."""
+    return {m.powers: c for m, c in p.terms.items()}
+
+
 class Polynomial:
     """Sparse polynomial: canonical monomial -> nonzero Fraction, from int or Fraction input."""
 
@@ -282,16 +309,8 @@ class Polynomial:
             return Polynomial({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                powers, parity = _times(m1.powers, m2.powers)
-                if powers is not None:
-                    mono = Monomial._canonical(powers)
-                    c = -c1 * c2 if parity & 1 else c1 * c2
-                    old = acc.get(mono)
-                    acc[mono] = c if old is None else old + c
-        return Polynomial._nonzero({m: c for m, c in acc.items() if c})
+        product = _product(_raw(self), _raw(other))
+        return Polynomial._nonzero({Monomial._canonical(k): c for k, c in product.items()})
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -310,6 +329,11 @@ class Polynomial:
             return Polynomial.scalar(1)
         if n == 1:
             return Polynomial(self.terms)
+        if len(self.terms) == 1:  # c*m: c**n times m with every exponent times n
+            ((m, c),) = self.terms.items()
+            if any(g.odd for g, _ in m.powers):
+                return Polynomial.zero()
+            return Polynomial({Monomial._canonical(tuple((g, e * n) for g, e in m.powers)): c ** n})
         half = self ** (n // 2)
         square = half * half
         return square * self if n % 2 else square
@@ -424,23 +448,29 @@ def map_generators(
     A generator without an image stays fixed when fix_unmapped is set and
     goes to zero otherwise.  The images of a monomial's factors are
     multiplied in monomial order, so the Koszul signs of odd images come
-    out right.
+    out right.  The image of each factor g^e is computed once per call and
+    multiplied in as a term dict; monomials are built once, for the result.
     """
-    acc: dict[Monomial, Fraction] = {}
+    powers_of: dict[tuple[Generator, int], _Terms] = {}
+    acc: _Terms = {}
     for mono, coeff in p.terms.items():
-        term = Polynomial.scalar(coeff)
-        for g, e in mono.powers:
-            if g in images:
-                term = term * images[g] ** e
-            elif fix_unmapped:
-                term = term * Polynomial.gen(g, e)
-            else:
-                term = Polynomial.zero()
-            if term.is_zero():
+        term: _Terms = {(): coeff}
+        for factor in mono.powers:
+            image = powers_of.get(factor)
+            if image is None:
+                g, e = factor
+                if g in images:
+                    image = _raw(images[g] if e == 1 else images[g] ** e)
+                else:
+                    image = {(factor,): 1} if fix_unmapped else {}
+                powers_of[factor] = image
+            term = _product(term, image)
+            if not term:
                 break
-        for m, c in term.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-    return Polynomial(acc)
+        for k, c in term.items():
+            old = acc.get(k)
+            acc[k] = c if old is None else old + c
+    return Polynomial({Monomial._canonical(k): c for k, c in acc.items()})
 
 
 def substitute(p: Polynomial, gen: Generator, replacement: Polynomial) -> Polynomial:

@@ -99,6 +99,27 @@ def product_by_bubble_sort(p, q):
     return Polynomial(acc)
 
 
+def map_by_factors(p, images, fix_unmapped):
+    """The algebra map of gradedalg.map_generators, term by term: the
+    coefficient times the image of each factor g^e, an image power computed
+    afresh for each factor, multiplied in as Polynomials in monomial order."""
+    acc = {}
+    for mono, coeff in p.terms.items():
+        term = Polynomial.scalar(coeff)
+        for g, e in mono.powers:
+            if g in images:
+                term = term * images[g] ** e
+            elif fix_unmapped:
+                term = term * Polynomial.gen(g, e)
+            else:
+                term = Polynomial.zero()
+            if term.is_zero():
+                break
+        for m, c in term.terms.items():
+            acc[m] = acc.get(m, Fraction(0)) + c
+    return Polynomial(acc)
+
+
 def dense_rank(rows):
     """Rank of a dense matrix of Fractions by plain Gaussian elimination."""
     matrix = [list(r) for r in rows]

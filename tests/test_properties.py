@@ -43,6 +43,7 @@ from sullivan.gradedalg import (
     Polynomial,
     _times,
     basis_of_degree,
+    map_generators,
     substitute,
 )
 from sullivan.linalg import RowSpace, Vec
@@ -58,6 +59,7 @@ from helpers import (
     dense_rank,
     echelon_by_fraction_ratio,
     leibniz_d,
+    map_by_factors,
     product_by_bubble_sort,
     quotient_dims_by_elimination,
     random_pure_model,
@@ -347,6 +349,73 @@ def test_algebra_maps_are_multiplicative(images, p, q, g):
     assert substitute(p * q, g, r) == substitute(p, g, r) * substitute(q, g, r)
 
 
+# POOL and a generator of degree 6, whose image may be a3*b3: a one-term
+# image with odd factors, whose square is zero
+W6 = Generator("w6", 6)
+MAP_POOL = tuple(sorted(POOL + (W6,)))
+
+
+@st.composite
+def map_monomials(draw):
+    """A monomial on MAP_POOL, each even factor to a power up to 3."""
+    powers = []
+    for g in MAP_POOL:
+        e = draw(st.integers(min_value=0, max_value=1 if g.odd else 3))
+        if e:
+            powers.append((g, e))
+    return Monomial(tuple(powers))
+
+
+@st.composite
+def map_images(draw):
+    """Images of a drawn subset of MAP_POOL, each homogeneous of its
+    generator's degree (so odd generators go to odd polynomials) and
+    possibly zero or one term."""
+    images = {}
+    for g in draw(st.lists(st.sampled_from(MAP_POOL), unique=True)):
+        basis = basis_of_degree(MAP_POOL, g.degree)
+        picked = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
+        coeffs = draw(st.lists(coefficients, min_size=len(picked), max_size=len(picked)))
+        images[g] = Polynomial(dict(zip(picked, coeffs)))
+    return images
+
+
+A3, B3, _ = ODDS
+map_polynomials = st.dictionaries(map_monomials(), coefficients, max_size=4).map(Polynomial)
+
+
+@given(map_polynomials, map_images(), st.booleans())
+# two odd factors with odd images: the second image passes the first
+@example(
+    Polynomial({Monomial(((A3, 1), (C5, 1))): 1}),
+    {A3: Polynomial.gen(B3), C5: Polynomial.gen(X2) * Polynomial.gen(A3)},
+    False,
+)
+# w6^2 goes to (a3*b3)^2 = 0; x2^3 stays fixed or goes to zero
+@example(
+    Polynomial({Monomial(((X2, 3), (W6, 2))): Fraction(-2, 3)}),
+    {W6: Polynomial.gen(A3) * Polynomial.gen(B3)},
+    True,
+)
+def test_map_generators_matches_the_factor_by_factor_map(p, images, fix_unmapped):
+    mapped = map_generators(p, images, fix_unmapped)
+    assert mapped == map_by_factors(p, images, fix_unmapped)
+    assert all(type(c) is Fraction for c in mapped.terms.values())
+
+
+@given(
+    st.tuples(map_monomials(), coefficients).map(lambda t: Polynomial({t[0]: t[1]}))
+    | polynomials()
+)
+@example(Polynomial({Monomial(((X2, 1), (A3, 1))): Fraction(-1, 2)}))
+@example(Polynomial.gen(A3) + Polynomial.gen(B3))
+def test_powers_are_repeated_products(p):
+    product = Polynomial.scalar(1)
+    for n in range(6):
+        assert p ** n == product
+        product = product * p
+
+
 def _combination(coeffs, rows):
     vec = {}
     for c, row in zip(coeffs, rows):
@@ -507,10 +576,13 @@ wide_vectors = st.dictionaries(
 
 @given(st.lists(wide_vectors, max_size=12), st.lists(wide_vectors, max_size=4))
 @example(vecs=[{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}], probes=[{0: 1}])
+@example(vecs=[{0: -2, 1: 2}, {0: -3, 2: -2}, {0: 3}], probes=[])
 def test_clearing_visits_the_pivots_a_sweep_would(vecs, probes):
     """Sparse rows over 41 columns: a subtraction often fills in a pivot the
-    vector did not hold (in the example, clearing {0: 1} at pivot 0 fills in
-    pivot 1, whose row fills in pivot 2)."""
+    vector did not hold (in the first example, clearing {0: 1} at pivot 0
+    fills in pivot 1, whose row fills in pivot 2).  In the second, the third
+    insert steps twice to the residue {2: -4} with the tag {1: 2, 2: 2},
+    which is stored only once divided by their gcd 2."""
     space = RowSpace()
     for i, v in enumerate(vecs):
         space.add(v, {i: 1})

@@ -315,6 +315,20 @@ def test_reduction_log_renders_verbatim():
     )
 
 
+def test_reduction_log_at_check_degree_zero_claims_no_betti_check():
+    # the certificates run, but no Betti numbers are compared, so the log
+    # ends with the last step
+    _, log = reduce(biquotient_model(classifying_data("thm33", 2)), check_degree=0)
+    assert log.render() == (
+        "step 1: introduce t4 = -3*b4 + z4   [replacing z4]\n"
+        "step 2: cancel (v3, t4)\n"
+        "step 3: introduce t8 = -3*b4^2 + z8   [replacing z8]\n"
+        "step 4: cancel (v7, t8)\n"
+        "step 5: introduce t12 = -3*b4^3 + z12   [replacing z12]\n"
+        "step 6: cancel (v11, t12)"
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tower_reduction_ends_on_two_generators(n):
     model = biquotient_model(classifying_data("thm33", n))
