@@ -11,9 +11,10 @@ Every product of two canonical monomials, in Polynomial.__mul__,
 map_generators and the Leibniz rule, is one linear merge by sort key that
 counts the swaps of odd factors (_times), so products have one normal form.
 Polynomial.__mul__ and map_generators share one product of term dicts keyed
-by powers (_product).  The power of a one-term polynomial is a closed form:
-zero from the square on when a factor is odd, else every exponent and the
-coefficient raised.
+by powers (_product); map_generators takes none for a term whose every
+factor the map fixes, which is its own image.  The power of a one-term
+polynomial is a closed form: zero from the square on when a factor is odd,
+else every exponent and the coefficient raised.
 
 Generators and monomials are immutable and store, once, what products read
 per term: the hash, and a generator's parity and sort key.  Only the public
@@ -450,12 +451,31 @@ def map_generators(
     multiplied in monomial order, so the Koszul signs of odd images come
     out right.  The image of each factor g^e is computed once per call and
     multiplied in as a term dict; monomials are built once, for the result.
+
+    A generator of p is fixed when it is unmapped under fix_unmapped or its
+    image is exactly g (see _is_gen), decided once per call.  A term whose
+    factors are all fixed is its own image: its coefficient and its
+    Monomial pass through unchanged, with no product taken.
     """
+    fixed: dict[Generator, bool] = {}
     powers_of: dict[tuple[Generator, int], _Terms] = {}
+    own: dict[_Powers, Monomial] = {}  # the terms that pass through
     acc: _Terms = {}
     for mono, coeff in p.terms.items():
+        powers = mono.powers
+        for g, _ in powers:
+            is_fixed = fixed.get(g)
+            if is_fixed is None:
+                is_fixed = fixed[g] = _is_gen(images[g], g) if g in images else fix_unmapped
+            if not is_fixed:
+                break
+        else:  # every factor fixed: the term is its own image
+            own[powers] = mono
+            old = acc.get(powers)
+            acc[powers] = coeff if old is None else old + coeff
+            continue
         term: _Terms = {(): coeff}
-        for factor in mono.powers:
+        for factor in powers:
             image = powers_of.get(factor)
             if image is None:
                 g, e = factor
@@ -470,7 +490,16 @@ def map_generators(
         for k, c in term.items():
             old = acc.get(k)
             acc[k] = c if old is None else old + c
-    return Polynomial({Monomial._canonical(k): c for k, c in acc.items()})
+    return Polynomial({own.get(k) or Monomial._canonical(k): c for k, c in acc.items()})
+
+
+def _is_gen(p: Polynomial, g: Generator) -> bool:
+    """True when p is exactly g: the one term g^1 with coefficient 1.  A
+    multiple c*g with c != 1, a sum g + h and another generator are not."""
+    if len(p.terms) != 1:
+        return False
+    ((mono, c),) = p.terms.items()
+    return c == 1 and mono.powers == ((g, 1),)
 
 
 def substitute(p: Polynomial, gen: Generator, replacement: Polynomial) -> Polynomial:

@@ -15,8 +15,11 @@ the earliest-named generators in the final presentation.
 
 Each pair is certified once by that map, from the model before the pair to
 the model after it.  The map must be a CDGA morphism onto exactly the
-expected generators, which pins every differential of the new model; this
-costs O(model size) per pair and runs at every check degree.  A failure
+expected generators, which pins every differential of the new model.  The
+map moves only x and v: a differential term that mentions neither passes
+through it unchanged, and the identity images need no shape check, so a
+pair costs one pass over the model's terms plus a product for each term
+that mentions x or v.  It runs at every check degree.  A failure
 names the pair's cancellation step.  A positive check degree adds one
 comparison of the Betti numbers up to that degree at the two endpoints.
 The log keeps only the actions.

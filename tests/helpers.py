@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from sullivan.cdga import FreeCDGA, apply_d
-from sullivan.gradedalg import Generator, Monomial, Polynomial
+from sullivan.gradedalg import Generator, Monomial, Polynomial, unknown_names
 
 COEFF_POOL = [
     Fraction(1),
@@ -118,6 +118,47 @@ def map_by_factors(p, images, fix_unmapped):
         for m, c in term.terms.items():
             acc[m] = acc.get(m, Fraction(0)) + c
     return Polynomial(acc)
+
+
+def compose_and_check_in_full(m):
+    """cdga.compose_and_check as it was before identity images skipped
+    their checks: every image's names, homogeneity and degree derived, d of
+    every image taken by apply_d, and the source differentials pushed by
+    map_by_factors."""
+    violations = []
+    src = set(m.source.generators)
+    tgt = set(m.target.generators)
+    for g in m.images:
+        if g not in src:
+            violations.append(f"image assigned to non-source generator {g.name}")
+    checkable = []
+    for g in m.source.generators:
+        img = m.image_of(g)
+        ok = True
+        names = unknown_names(img, tgt)
+        if names:
+            violations.append(f"image of {g.name} mentions unknown generators: {names}")
+            ok = False
+        if not img.is_zero():
+            if not img.is_homogeneous():
+                violations.append(f"image of {g.name} is inhomogeneous: {img}")
+                ok = False
+            elif img.degree() != g.degree:
+                violations.append(
+                    f"image of {g.name} has degree {img.degree()}, expected {g.degree}"
+                )
+                ok = False
+        if ok:
+            checkable.append(g)
+    for g in checkable:
+        lhs = map_by_factors(m.source.d(g), m.images, False)
+        rhs = apply_d(m.target, m.image_of(g))
+        if lhs != rhs:
+            violations.append(
+                f"chain condition fails on {g.name}: "
+                f"image of d({g.name}) is {lhs}, but d of the image is {rhs}"
+            )
+    return violations
 
 
 def dense_rank(rows):

@@ -14,6 +14,7 @@ from sullivan.cdga import (
     Morphism,
     apply_d,
     change_of_variable,
+    compose_and_check,
     rename_generators,
     tensor,
 )
@@ -56,6 +57,7 @@ from helpers import (
     brute_monomials,
     bubble_sort_with_sign,
     clear_by_sweep,
+    compose_and_check_in_full,
     dense_rank,
     echelon_by_fraction_ratio,
     leibniz_d,
@@ -366,17 +368,39 @@ def map_monomials(draw):
     return Monomial(tuple(powers))
 
 
+def _drawn_homogeneous(draw, degree):
+    """A polynomial of up to three basis monomials of degree on MAP_POOL, or zero."""
+    basis = basis_of_degree(MAP_POOL, degree)
+    picked = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True)) if basis else []
+    coeffs = draw(st.lists(coefficients, min_size=len(picked), max_size=len(picked)))
+    return Polynomial(dict(zip(picked, coeffs)))
+
+
 @st.composite
 def map_images(draw):
     """Images of a drawn subset of MAP_POOL, each homogeneous of its
-    generator's degree (so odd generators go to odd polynomials) and
-    possibly zero or one term."""
+    generator's degree (so odd generators go to odd polynomials): g itself,
+    a multiple c*g with c != 1 (-g included), g plus another monomial of its
+    degree, a rename to another generator of its degree, or any combination
+    of basis monomials, possibly zero or one term.  Only the first fixes g."""
     images = {}
     for g in draw(st.lists(st.sampled_from(MAP_POOL), unique=True)):
-        basis = basis_of_degree(MAP_POOL, g.degree)
-        picked = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
-        coeffs = draw(st.lists(coefficients, min_size=len(picked), max_size=len(picked)))
-        images[g] = Polynomial(dict(zip(picked, coeffs)))
+        others = [m for m in basis_of_degree(MAP_POOL, g.degree) if m.powers != ((g, 1),)]
+        renames = [h for h in MAP_POOL if h.degree == g.degree and h != g]
+        kind = draw(st.sampled_from(["identity", "scaled", "plus", "rename", "any"]))
+        if kind == "identity":
+            images[g] = Polynomial.gen(g)
+        elif kind == "scaled":
+            c = draw(st.just(Fraction(-1)) | coefficients.filter(lambda c: c != 1))
+            images[g] = Polynomial.gen(g) * c
+        elif kind == "plus" and others:
+            images[g] = Polynomial.gen(g) + Polynomial.monomial(
+                draw(st.sampled_from(others)), draw(coefficients)
+            )
+        elif kind == "rename" and renames:
+            images[g] = Polynomial.gen(draw(st.sampled_from(renames)))
+        else:
+            images[g] = _drawn_homogeneous(draw, g.degree)
     return images
 
 
@@ -397,10 +421,94 @@ map_polynomials = st.dictionaries(map_monomials(), coefficients, max_size=4).map
     {W6: Polynomial.gen(A3) * Polynomial.gen(B3)},
     True,
 )
+# scaled identities are moved, not fixed: x2^3*a3 -> (2*x2)^3 * (-a3)
+@example(
+    Polynomial({Monomial(((X2, 3), (A3, 1))): Fraction(1, 3), Monomial(((X2, 1), (C5, 1))): 1}),
+    {X2: Polynomial.gen(X2) * 2, A3: -Polynomial.gen(A3)},
+    True,
+)
+# an image equal to g is fixed without fix_unmapped; the unmapped a3 goes to 0
+@example(
+    Polynomial({Monomial(((X2, 2),)): Fraction(-2), Monomial(((X2, 1), (A3, 1))): 1}),
+    {X2: Polynomial.gen(X2)},
+    False,
+)
 def test_map_generators_matches_the_factor_by_factor_map(p, images, fix_unmapped):
     mapped = map_generators(p, images, fix_unmapped)
     assert mapped == map_by_factors(p, images, fix_unmapped)
     assert all(type(c) is Fraction for c in mapped.terms.values())
+
+
+@st.composite
+def morphisms(draw):
+    """A Morphism between free algebras on drawn subsets of MAP_POOL.  Each
+    differential is homogeneous of degree |g| + 1 on MAP_POOL, so it may
+    mention generators outside its algebra, and a target's d(g) is the
+    source's or drawn afresh.  A source generator goes to itself (present
+    in the target or not), to c*g with c != 1, to an image of its degree,
+    of another degree or of two degrees, or to zero; a generator outside
+    the source may have an image too."""
+    source_gens = draw(st.lists(st.sampled_from(MAP_POOL), min_size=1, unique=True))
+    target_gens = draw(st.lists(st.sampled_from(MAP_POOL), unique=True))
+    source_d = {g: _drawn_homogeneous(draw, g.degree + 1) for g in source_gens}
+    target_d = {
+        g: source_d[g]
+        if g in source_d and draw(st.booleans())
+        else _drawn_homogeneous(draw, g.degree + 1)
+        for g in target_gens
+    }
+    images = {}
+    for g in MAP_POOL:
+        kinds = ["identity", "scaled", "degree", "wrong", "two", "none"]
+        kind = draw(st.sampled_from(kinds if g in source_d else ["none", "none", "identity"]))
+        if kind == "identity":
+            images[g] = Polynomial.gen(g)
+        elif kind == "scaled":
+            images[g] = Polynomial.gen(g) * draw(coefficients.filter(lambda c: c != 1))
+        elif kind == "degree":
+            images[g] = _drawn_homogeneous(draw, g.degree)
+        elif kind == "wrong":
+            images[g] = _drawn_homogeneous(draw, g.degree + draw(st.sampled_from([-1, 1, 2])))
+        elif kind == "two":
+            images[g] = _drawn_homogeneous(draw, g.degree) + _drawn_homogeneous(draw, g.degree + 1)
+    source = FreeCDGA(tuple(source_gens), source_d)
+    return Morphism(source, FreeCDGA(tuple(target_gens), target_d), images)
+
+
+_D_A3 = Polynomial.gen(X2) ** 2
+
+
+@given(morphisms())
+# the identity image of a3, which the target lacks
+@example(
+    Morphism(
+        FreeCDGA((X2, A3), {A3: _D_A3}),
+        FreeCDGA((X2,)),
+        {X2: Polynomial.gen(X2), A3: Polynomial.gen(A3)},
+    )
+)
+# identity images, with the target's d(a3) twice the source's
+@example(
+    Morphism(
+        FreeCDGA((X2, A3), {A3: _D_A3}),
+        FreeCDGA((X2, A3), {A3: 2 * _D_A3}),
+        {X2: Polynomial.gen(X2), A3: Polynomial.gen(A3)},
+    )
+)
+# a wrong-degree image of x2 and an inhomogeneous one of a3 next to an identity
+@example(
+    Morphism(
+        FreeCDGA((X2, A3, C5), {A3: _D_A3}),
+        FreeCDGA((X2, A3, C5), {A3: _D_A3}),
+        {
+            X2: Polynomial.gen(A3),
+            A3: Polynomial.gen(A3) + Polynomial.gen(X2) ** 2,
+            C5: Polynomial.gen(C5),
+        },
+    )
+)
+def test_compose_and_check_matches_the_full_check(m):
+    assert compose_and_check(m) == compose_and_check_in_full(m)
 
 
 @given(

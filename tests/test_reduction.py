@@ -189,6 +189,29 @@ def test_reduce_catches_a_corrupted_differential_at_its_step(monkeypatch, check_
     )
 
 
+@pytest.mark.parametrize("check_degree", [0, 10])
+def test_reduce_catches_a_corrupted_differential_the_pair_leaves_alone(monkeypatch, check_degree):
+    w7 = Generator("w7", 7)
+
+    def corrupt_dw7(kept, _):
+        # d(w7) mentions neither v3 nor x4, so the pair's map passes it
+        # through and w7's identity image skips its shape checks
+        kept[w7] = kept[w7] + Polynomial.gen(y4) ** 2
+        return kept
+
+    _fault_next_models(monkeypatch, corrupt_dw7)
+    m = FreeCDGA(
+        (v3, x4, y4, w7),
+        {v3: Polynomial.gen(x4), w7: Polynomial.gen(y4) ** 2},
+    )
+    with pytest.raises(VerificationFailedError) as info:
+        reduce(m, check_degree=check_degree)
+    assert str(info.value) == (
+        "step 'cancel (v3, x4)' fails its certificate: chain condition fails on w7: "
+        "image of d(w7) is y4^2, but d of the image is 2*y4^2"
+    )
+
+
 def test_reduce_computes_betti_numbers_only_at_the_endpoints(monkeypatch):
     calls = []
 

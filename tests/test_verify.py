@@ -5,7 +5,7 @@ import pytest
 from sullivan import verify
 from sullivan.cdga import FreeCDGA, Morphism, identity_morphism
 from sullivan.cohomology import betti, is_quasi_iso
-from sullivan.constructors import biquotient_model, hp_model, projectivize
+from sullivan.constructors import PontryaginData, biquotient_model, hp_model, projectivize
 from sullivan.dsl import parse_source
 from sullivan.gradedalg import Polynomial
 from sullivan.presets import (
@@ -92,6 +92,43 @@ def test_dimension_law_matrix_shape():
     assert report.case == "dimension-law"
     assert len(report.checks) == 24
     assert report.ok
+
+
+DIMENSION_LAW_ROWS = [
+    f"{base}-rank{rank}-{choice}"
+    for base in ("hp1", "hp2", "s4", "s8")
+    for rank in (2, 3)
+    for choice in ("zero", "plain", "mixed")
+]
+
+
+@pytest.mark.parametrize("row", DIMENSION_LAW_ROWS)
+def test_a_projectivization_missing_its_top_fiber_power_fails_its_row_and_no_other(
+    monkeypatch, row
+):
+    """The row's total space is built for a bundle of one rank less: d of the
+    top generator loses a power of x4 and the class p_rank, so its total
+    Betti dimension is (rank - 1) times the base's.  The law builds the rows
+    in order, so the row is found by its call; s8's plain and mixed rows
+    pass projectivize the same data."""
+    before = {c.name: c.ok for c in run_dimension_law().checks}
+    assert list(before) == DIMENSION_LAW_ROWS
+    build = verify.projectivize
+    calls = []
+
+    def short_of_a_power(data):
+        calls.append(data)
+        if len(calls) - 1 != DIMENSION_LAW_ROWS.index(row):
+            return build(data)
+        rank = data.rank - 1
+        classes = {i: p for i, p in data.classes.items() if i <= rank}
+        return build(PontryaginData(base=data.base, rank=rank, classes=classes))
+
+    monkeypatch.setattr(verify, "projectivize", short_of_a_power)
+    after = {c.name: c.ok for c in run_dimension_law().checks}
+    assert len(calls) == len(DIMENSION_LAW_ROWS)
+    assert before[row]
+    assert after == {**before, row: False}
 
 
 def test_render_report_layout():
