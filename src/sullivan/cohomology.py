@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check
@@ -255,8 +256,7 @@ def betti(
     if max_degree is None:
         max_degree = len(h0) - 1 if h0 else min(4 * len(model.generators), 40)
     if h0 and not representatives:
-        counts = h0[: max_degree + 1] + [0] * (max_degree + 1 - len(h0))
-        return CohomologyReport(max_degree, dict(enumerate(counts)))
+        return CohomologyReport(max_degree, dict(enumerate(h0 + [0] * (max_degree + 1 - len(h0)))))
     b: dict[int, int] = {}
     reps: dict[int, list[Polynomial]] = {}
     for n in range(max_degree + 1):
@@ -341,25 +341,28 @@ class RingPresentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", tuple(r for r in self.relations if not r.is_zero()))
-        for g in self.generators:
-            if g.odd:
-                raise ValueError(f"presentation generator {g.name} has odd degree")
-        dupes = repeated_names(g.name for g in self.generators)
-        if dupes:
+        if odd := next((g for g in self.generators if g.odd), None):
+            raise ValueError(f"presentation generator {odd.name} has odd degree")
+        if dupes := repeated_names(g.name for g in self.generators):
             raise ValueError(f"duplicate generator name {dupes[0]}")
-        known = frozenset(self.generators)
         for r in self.relations:
-            names = unknown_names(r, known)
-            if names:
+            if names := unknown_names(r, self.generators):
                 raise ValueError(f"relation {r} mentions unknown generators: {names}")
             if not r.is_homogeneous():
                 raise DegreeMismatchError(f"relation {r} is not homogeneous")
 
+    @classmethod
+    def _unchecked(cls, generators: tuple, relations: tuple) -> "RingPresentation":
+        """Even, distinct generators and nonzero homogeneous relations in them, unchecked."""
+        pres = object.__new__(cls)
+        pres.__dict__.update(generators=generators, relations=relations)
+        return pres
+
 
 def h0_presentation(model: FreeCDGA) -> RingPresentation:
-    """H_0 = Q[even generators]/(d of the odd generators) of a pure model, whose
-    only nonzero differentials are those of its odd generators."""
-    return RingPresentation(model.even_generators(), tuple(model.differential.values()))
+    """H_0 = Q[even generators]/(d of the odd generators), built unchecked: the model
+    must pass pure_check, and its differentials be homogeneous, as Cohomology checks."""
+    return RingPresentation._unchecked(model.even_generators(), tuple(model.differential.values()))
 
 
 def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int]:
@@ -371,24 +374,16 @@ def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int
     return dict(enumerate(_standard_counts(gens, leads, max_degree, cap)))
 
 
-def _shift_add(p: dict, c: Fraction, shift: tuple[int, ...], g: dict) -> None:
-    """p += c * x^shift * g in place, on exponent tuples; zero terms leave p."""
-    for t, v in g.items():
-        k = tuple(a + b for a, b in zip(shift, t))
-        if v := p.pop(k, 0) + c * v:
-            p[k] = v
-
-
 def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap: int) -> list:
-    """The leads of the reduced Groebner basis of (relations) in Q[gens], cut at
-    max_degree, as exponent tuples indexed like gens (ascending degree).  In
-    weighted grevlex with the generators highest degree first, a homogeneous
-    polynomial's lead is its least tuple.  Taken in ascending degree, the leads
-    span the leading ideal exactly up to max_degree (Becker-Weispfenning, GTM
-    141); leads with no common generator make no pair (Buchberger's first
-    criterion)."""
+    """The leads of a Groebner basis of (relations) in Q[gens] cut at max_degree,
+    as exponent tuples indexed like gens (ascending degree); in weighted grevlex
+    with the generators highest degree first, a homogeneous polynomial's lead is
+    its least tuple.  Taken in ascending degree, relations sorted by terms, in
+    full normal form, the leads are the minimal generators of the leading ideal
+    up to max_degree (Becker-Weispfenning, GTM 141).  No pair is formed past the
+    cut, nor for leads with no common generator (Buchberger's first criterion)."""
     todo: dict[int, list[dict]] = {}  # degree -> polynomials still to reduce
-    for r in relations:
+    for r in sorted(relations, key=lambda r: sorted((m.sort_key, c) for m, c in r.terms.items())):
         p = {tuple(dict(m.powers).get(g, 0) for g in gens): c for m, c in r.terms.items()}
         todo.setdefault(r.degree(), []).append(p)
     basis: list[tuple[tuple[int, ...], dict]] = []  # (lead, monic polynomial)
@@ -399,7 +394,8 @@ def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap:
                 m = min(p)
                 for lead, g in basis:
                     if all(a <= b for a, b in zip(lead, m)):
-                        _shift_add(p, -p[m], tuple(b - a for a, b in zip(lead, m)), g)
+                        by = tuple(map(sub, m, lead))
+                        vec_sub_scaled(p, {tuple(map(add, t, by)): v for t, v in g.items()}, p[m])
                         break
                 else:
                     nf[m] = p.pop(m)
@@ -408,13 +404,13 @@ def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap:
             new = min(nf)
             p = {t: v / nf[new] for t, v in nf.items()}
             for lead, g in basis:
-                if new in g:  # g has p's degree; subtracting p keeps the basis reduced
-                    _shift_add(g, -g[new], (0,) * len(gens), p)
                 if any(a and b for a, b in zip(lead, new)):
                     lcm = tuple(map(max, lead, new))
-                    s = {tuple(a + b - c for a, b, c in zip(t, lcm, new)): v for t, v in p.items()}
-                    _shift_add(s, Fraction(-1), tuple(a - b for a, b in zip(lcm, lead)), g)
-                    todo.setdefault(sum(x.degree * e for x, e in zip(gens, lcm)), []).append(s)
+                    if (degree := sum(x.degree * e for x, e in zip(gens, lcm))) <= max_degree:
+                        by_p, by_g = tuple(map(sub, lcm, new)), tuple(map(sub, lcm, lead))
+                        s = {tuple(map(add, t, by_p)): v for t, v in p.items()}
+                        vec_sub_scaled(s, {tuple(map(add, t, by_g)): v for t, v in g.items()}, 1)
+                        todo.setdefault(degree, []).append(s)
             basis.append((new, p))
             if len(basis) > cap:
                 raise ResourceLimitError(f"Groebner basis exceeds cap of {cap} polynomials")
@@ -422,9 +418,11 @@ def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap:
 
 
 def _standard_counts(gens: Sequence[Generator], leads: list, max_degree: int, cap: int) -> list:
-    """The count per degree up to max_degree of the monomials no lead divides, a
-    set closed under division: a depth-first walk raises one exponent at or after
-    the last one raised, and stops past max_degree or at a multiple of a lead."""
+    """Counts per degree to max_degree of the monomials no lead divides, a set closed
+    under division: a depth-first walk raises one exponent at or after the last, never
+    a generator that is a lead, and stops past max_degree or at a lead's multiple."""
+    linear = {lead.index(1) for lead in leads if sum(lead) == 1}
+    leads = [lead for lead in leads if sum(lead) != 1]  # no other minimal lead holds those
     counts = [0] * (max_degree + 1)
     stack = [((0,) * len(gens), 0, 0)]
     while stack:
@@ -435,7 +433,8 @@ def _standard_counts(gens: Sequence[Generator], leads: list, max_degree: int, ca
         if counts[degree] > cap:
             raise ResourceLimitError(f"quotient in degree {degree} exceeds cap of {cap} monomials")
         for i in range(start, len(gens)):
-            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i, degree + gens[i].degree))
+            if i not in linear:
+                stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i, degree + gens[i].degree))
     return counts
 
 

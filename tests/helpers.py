@@ -15,8 +15,10 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from sullivan.cdga import FreeCDGA, apply_d
+from sullivan.errors import ResourceLimitError
 from sullivan.gradedalg import Generator, Monomial, Polynomial, unknown_names
 
 COEFF_POOL = [
@@ -306,6 +308,74 @@ def quotient_dims_by_elimination(gens, relations, max_degree):
                 rows.append(row)
         out[n] = len(basis) - dense_rank(rows)
     return out
+
+
+def shift_add(p: dict, c: Fraction, shift: tuple[int, ...], g: dict) -> None:
+    """p += c * x^shift * g in place, on exponent tuples; zero terms leave p."""
+    for t, v in g.items():
+        k = tuple(a + b for a, b in zip(shift, t))
+        if v := p.pop(k, 0) + c * v:
+            p[k] = v
+
+
+def reduced_groebner_leads(gens: Sequence[Generator], relations: tuple, max_degree: int, cap: int) -> list:
+    """cohomology._groebner as it was while it kept its basis reduced: every
+    new element is subtracted from each earlier one that holds its lead,
+    relations are taken in the caller's order, and pairs are queued past
+    max_degree, where they are never reduced.  The leads, in the order they
+    were found; as a set they are the minimal generators of the leading
+    ideal up to max_degree."""
+    todo: dict[int, list[dict]] = {}  # degree -> polynomials still to reduce
+    for r in relations:
+        p = {tuple(dict(m.powers).get(g, 0) for g in gens): c for m, c in r.terms.items()}
+        todo.setdefault(r.degree(), []).append(p)
+    basis: list[tuple[tuple[int, ...], dict]] = []  # (lead, monic polynomial)
+    while todo and min(todo) <= max_degree:
+        for p in todo.pop(min(todo)):  # a new pair's lcm lies above both leads
+            nf: dict = {}
+            while p:  # the normal form of p, term by term from the lead
+                m = min(p)
+                for lead, g in basis:
+                    if all(a <= b for a, b in zip(lead, m)):
+                        shift_add(p, -p[m], tuple(b - a for a, b in zip(lead, m)), g)
+                        break
+                else:
+                    nf[m] = p.pop(m)
+            if not nf:
+                continue
+            new = min(nf)
+            p = {t: v / nf[new] for t, v in nf.items()}
+            for lead, g in basis:
+                if new in g:  # g has p's degree; subtracting p keeps the basis reduced
+                    shift_add(g, -g[new], (0,) * len(gens), p)
+                if any(a and b for a, b in zip(lead, new)):
+                    lcm = tuple(map(max, lead, new))
+                    s = {tuple(a + b - c for a, b, c in zip(t, lcm, new)): v for t, v in p.items()}
+                    shift_add(s, Fraction(-1), tuple(a - b for a, b in zip(lcm, lead)), g)
+                    todo.setdefault(sum(x.degree * e for x, e in zip(gens, lcm)), []).append(s)
+            basis.append((new, p))
+            if len(basis) > cap:
+                raise ResourceLimitError(f"Groebner basis exceeds cap of {cap} polynomials")
+    return [lead for lead, _ in basis]
+
+
+def standard_counts_by_full_walk(gens: Sequence[Generator], leads: list, max_degree: int, cap: int) -> list:
+    """cohomology._standard_counts as it was before it skipped the generators
+    that are leads: the count per degree up to max_degree of the monomials no
+    lead divides, by a depth-first walk that raises every generator and tests
+    every lead."""
+    counts = [0] * (max_degree + 1)
+    stack = [((0,) * len(gens), 0, 0)]
+    while stack:
+        mono, start, degree = stack.pop()
+        if degree > max_degree or any(all(a <= b for a, b in zip(lead, mono)) for lead in leads):
+            continue
+        counts[degree] += 1
+        if counts[degree] > cap:
+            raise ResourceLimitError(f"quotient in degree {degree} exceeds cap of {cap} monomials")
+        for i in range(start, len(gens)):
+            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i, degree + gens[i].degree))
+    return counts
 
 
 def random_polynomial(rng: random.Random, gens, degree, max_terms=3):

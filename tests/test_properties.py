@@ -23,6 +23,7 @@ from sullivan.cohomology import (
     RingPresentation,
     betti,
     class_of,
+    h0_presentation,
     is_quasi_iso,
     quotient_ring_dims,
 )
@@ -66,7 +67,9 @@ from helpers import (
     quotient_dims_by_elimination,
     random_pure_model,
     random_reducible_model,
+    reduced_groebner_leads,
     rref_by_sweep,
+    standard_counts_by_full_walk,
 )
 
 EVENS = (Generator("x2", 2), Generator("x4", 4), Generator("y4", 4))
@@ -929,6 +932,68 @@ def presentations(draw):
 def test_quotient_ring_dims_match_the_oracle_on_random_presentations(pres):
     want = quotient_dims_by_elimination(pres.generators, pres.relations, QUOTIENT_DEGREE)
     assert quotient_ring_dims(pres, QUOTIENT_DEGREE) == want
+
+
+# The highest cut of the Groebner laws below; their relations reach two
+# degrees past it.
+GROEBNER_CUT = 12
+
+# Taken in this order, x2^2 + x2*y2 gives the lead x2*y2 and then x2^2 the
+# lead x2^2, which the first polynomial holds: a reduced basis subtracts it
+# from there.
+XY2 = (Generator("x2", 2), Generator("y2", 2))
+X2, Y2 = map(Polynomial.gen, XY2)
+UPKEEP_CASE = (XY2, (X2 ** 2 + X2 * Y2, X2 ** 2), (X2 ** 2, X2 ** 2 + X2 * Y2), GROEBNER_CUT)
+
+
+@st.composite
+def groebner_inputs(draw):
+    """(gens, relations, the same relations shuffled, cut): either 1-4
+    homogeneous relations over EVENS, some past the cut, perhaps one repeated,
+    one linear in a generator, which makes that generator a lead, and a
+    nonzero constant, whose lead divides every monomial; or H_0 of a random
+    pure model."""
+    cut = draw(st.integers(min_value=0, max_value=GROEBNER_CUT))
+    if draw(st.booleans()):
+        pres = h0_presentation(random_pure_model(random.Random(draw(st.integers(0, 2 ** 32 - 1)))))
+    else:
+        degrees = st.sampled_from(range(2, GROEBNER_CUT + 3, 2))
+        relations = draw(st.lists(degrees.flatmap(homogeneous_relations), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            relations.append(draw(coefficients) * draw(st.sampled_from(relations)))
+        if draw(st.booleans()):
+            g = draw(st.sampled_from(EVENS))
+            relations.append(Polynomial.gen(g) + draw(homogeneous_relations(g.degree)))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            relations.append(Polynomial.scalar(draw(coefficients)))
+        pres = RingPresentation(EVENS, tuple(draw(st.permutations(relations))))
+    shuffled = tuple(draw(st.permutations(pres.relations)))
+    return tuple(sorted(pres.generators)), pres.relations, shuffled, cut
+
+
+@given(groebner_inputs())
+@example(UPKEEP_CASE)
+@settings(deadline=None)
+def test_groebner_leads_and_counts_match_the_reduced_basis_oracle(case):
+    gens, relations, _, cut = case
+    cap = cohomology.DEFAULT_MAX_BASIS
+    leads = cohomology._groebner(gens, relations, cut, cap)
+    want = reduced_groebner_leads(gens, relations, cut, cap)
+    assert sorted(leads) == sorted(want)
+    counts = cohomology._standard_counts(gens, leads, cut, cap)
+    assert counts == standard_counts_by_full_walk(gens, want, cut, cap)
+
+
+@given(groebner_inputs())
+@example(UPKEEP_CASE)
+@settings(deadline=None)
+def test_groebner_leads_and_counts_ignore_the_order_of_relations(case):
+    gens, relations, shuffled, cut = case
+    cap = cohomology.DEFAULT_MAX_BASIS
+    leads = cohomology._groebner(gens, relations, cut, cap)
+    assert cohomology._groebner(gens, shuffled, cut, cap) == leads
+    dims = quotient_ring_dims(RingPresentation(gens, relations), cut)
+    assert quotient_ring_dims(RingPresentation(gens, shuffled), cut) == dims
 
 
 def _generators(prefix, min_size=0):
