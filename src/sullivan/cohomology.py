@@ -3,13 +3,13 @@
 Each degree gets its full monomial basis, the differential becomes a sparse
 matrix, and ranks, kernels and quotient bases come from exact fraction-free
 elimination; quotient rings, and Betti numbers alone where H = H_0 is finite
-(_elliptic_betti), are counted from a degree-truncated Groebner basis
-instead.  Representatives are the RREF rows of the cocycle space modulo
-coboundaries, built as fresh rows: that form is unique for the span, so
-repeated runs pick identical representatives, and a class's coordinates are
-its values at their pivots.  Only representatives build it: a
-quasi-isomorphism's rank in each degree is read from normal forms modulo the
-target's coboundaries.
+(_elliptic_betti), are counted from a degree-truncated Groebner basis of
+primitive integer polynomials, reduced fraction-free in place.
+Representatives are the RREF rows of the cocycle space modulo coboundaries,
+built as fresh rows: that form is unique for the span, so repeated runs pick
+identical representatives, and a class's coordinates are its values at their
+pivots.  Only representatives build it: a quasi-isomorphism's rank in each
+degree is read from normal forms modulo the target's coboundaries.
 
 The differential's shape is checked once, when a Cohomology is built: every
 term of every d(g) must be a monomial of degree |g|+1 in the model's
@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, itemgetter, le, sub
 from typing import Optional, Sequence
 
 from sullivan.cdga import FreeCDGA, Morphism, apply_d, compose_and_check
@@ -51,7 +51,7 @@ from sullivan.gradedalg import (
     repeated_names,
     unknown_names,
 )
-from sullivan.linalg import RowSpace, Vec, vec_sub_scaled
+from sullivan.linalg import RowSpace, Vec, _eliminate, _primitive, _ratio, vec_sub_scaled
 
 DEFAULT_MAX_BASIS = 200_000
 
@@ -374,42 +374,51 @@ def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int
     return dict(enumerate(_standard_counts(gens, leads, max_degree, cap)))
 
 
+def _cancel(p: dict, t: tuple, lead: tuple, g: dict) -> None:
+    """p = m*p - n*x^(t - lead)*g for n/m = p[t]/g[lead]: t cancels, and below t p only scales."""
+    by = tuple(map(sub, t, lead))
+    _eliminate(p, {tuple(map(add, s, by)): v for s, v in g.items()}, *_ratio(p[t], g[lead]))
+
+
 def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap: int) -> list:
-    """The leads of a Groebner basis of (relations) in Q[gens] cut at max_degree,
-    as exponent tuples indexed like gens (ascending degree); in weighted grevlex
-    with the generators highest degree first, a homogeneous polynomial's lead is
-    its least tuple.  Taken in ascending degree, relations sorted by terms, in
-    full normal form, the leads are the minimal generators of the leading ideal
-    up to max_degree (Becker-Weispfenning, GTM 141).  No pair is formed past the
-    cut, nor for leads with no common generator (Buchberger's first criterion)."""
+    """The leads of a Groebner basis of (relations) in Q[gens] cut at max_degree, as exponent
+    tuples indexed like gens (ascending degree); in weighted grevlex with the generators highest
+    degree first, a homogeneous polynomial's lead is its least tuple.  Its elements are primitive
+    integer polynomials, reduced fraction-free in place.  Taken in ascending degree, relations
+    sorted by their primitive terms up to sign, in full normal form, the leads are the minimal
+    generators of the leading ideal up to max_degree (Becker-Weispfenning, GTM 141).  No pair is
+    formed past the cut, nor for leads with no common generator (Buchberger's first criterion)."""
+    entries = []  # (sort key, degree, primitive integer polynomial) per relation
+    for r in relations:
+        terms, p = _primitive(r.terms, {})[0], {}
+        for m, c in terms.items():
+            powers = dict(m.powers)
+            p[tuple(powers.pop(g, 0) for g in gens)] = c
+            if powers:
+                raise ValueError(f"relation {r} mentions unknown generators: {unknown_names(r, gens)}")
+        key = sorted((m.sort_key, c) for m, c in terms.items())
+        entries.append((max(key, [(k, -c) for k, c in key]), r.degree(), p))
     todo: dict[int, list[dict]] = {}  # degree -> polynomials still to reduce
-    for r in sorted(relations, key=lambda r: sorted((m.sort_key, c) for m, c in r.terms.items())):
-        p = {tuple(dict(m.powers).get(g, 0) for g in gens): c for m, c in r.terms.items()}
-        todo.setdefault(r.degree(), []).append(p)
-    basis: list[tuple[tuple[int, ...], dict]] = []  # (lead, monic polynomial)
+    for _, degree, p in sorted(entries, key=itemgetter(0)):
+        todo.setdefault(degree, []).append(p)
+    basis: list[tuple[tuple[int, ...], dict]] = []  # (lead, primitive polynomial)
     while todo and min(todo) <= max_degree:
         for p in todo.pop(min(todo)):  # a new pair's lcm lies above both leads
-            nf: dict = {}
-            while p:  # the normal form of p, term by term from the lead
-                m = min(p)
-                for lead, g in basis:
-                    if all(a <= b for a, b in zip(lead, m)):
-                        by = tuple(map(sub, m, lead))
-                        vec_sub_scaled(p, {tuple(map(add, t, by)): v for t, v in g.items()}, p[m])
-                        break
-                else:
-                    nf[m] = p.pop(m)
-            if not nf:
+            t = min(p, default=None)
+            while t is not None:  # the normal form of p in place, term by term from the lead
+                if divisor := next(((lead, g) for lead, g in basis if all(map(le, lead, t))), None):
+                    _cancel(p, t, *divisor)
+                t = min((s for s in p if s > t), default=None)
+            if not p:
                 continue
-            new = min(nf)
-            p = {t: v / nf[new] for t, v in nf.items()}
+            p, _ = _primitive(p, {})
+            new = min(p)
             for lead, g in basis:
                 if any(a and b for a, b in zip(lead, new)):
                     lcm = tuple(map(max, lead, new))
                     if (degree := sum(x.degree * e for x, e in zip(gens, lcm))) <= max_degree:
-                        by_p, by_g = tuple(map(sub, lcm, new)), tuple(map(sub, lcm, lead))
-                        s = {tuple(map(add, t, by_p)): v for t, v in p.items()}
-                        vec_sub_scaled(s, {tuple(map(add, t, by_g)): v for t, v in g.items()}, 1)
+                        by = tuple(map(sub, lcm, new))
+                        _cancel(s := {tuple(map(add, t, by)): v for t, v in p.items()}, lcm, lead, g)
                         todo.setdefault(degree, []).append(s)
             basis.append((new, p))
             if len(basis) > cap:

@@ -2,17 +2,17 @@
 
 Vectors are dicts mapping column index to a nonzero int or Fraction.
 RowSpace keeps an echelon basis of a span: one primitive integer row per
-pivot (its leading column), held by pivot.  Inserting a vector eliminates
-it only until its leading column is not yet a pivot, with integer
-``m*v - n*row`` steps whose ratio n/m comes from a gcd (Bareiss, Math.
-Comp. 22, 1968); the stored rows are never touched again.  Ranks and
-kernels need nothing more.  A normal form clears a vector at the pivots it
-holds, smallest first, taking up the pivots each subtraction fills in, so
-its cost follows the pivots the vector hits, not the rank.  Where a
-canonical basis matters (cohomology representatives), ``basis()`` builds
-the reduced row echelon form as fresh rows, by the same clearing, and
-writes nothing back; that form is unique for the span, so it does not
-depend on the order of insertion.
+pivot (its leading column), held by pivot.  Inserting a vector eliminates it
+only until its leading column is not yet a pivot, by integer steps
+``m*v - n*row`` (``_eliminate``, n/m from a gcd by ``_ratio``; Bareiss, Math.
+Comp. 22, 1968), which also reduce the Groebner basis of ``cohomology``;
+stored rows are never touched again.  Ranks and kernels need nothing more.
+A normal form clears a vector at the pivots it holds, smallest first, taking
+up the pivots each subtraction fills in, so its cost follows the pivots the
+vector hits, not the rank.  Where a canonical basis matters (cohomology
+representatives), ``basis()`` builds the reduced row echelon form as fresh
+rows, by the same clearing, and writes nothing back; that form is unique for
+the span, so it does not depend on the order of insertion.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ def vec_sub_scaled(target: Vec, src: Vec, factor: Union[int, Fraction]) -> None:
             target[k] = new
         else:
             target.pop(k, None)
+
+
+def _ratio(a: int, b: int) -> tuple[int, int]:
+    """(n, m) with n/m = a/b in lowest terms and m > 0, as Fraction(a, b) has it."""
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    return a // g, b // g
 
 
 def _eliminate(vec: Vec, row: Vec, n: int, m: int) -> None:
@@ -127,10 +133,7 @@ class RowSpace:
             row = self._rows.get(pivot)
             if row is None:
                 break
-            # n/m = a/b in lowest terms with m > 0, as Fraction(a, b) has it
-            a, b = residue[pivot], row[pivot]
-            g = gcd(a, b) if b > 0 else -gcd(a, b)
-            n, m = a // g, b // g
+            n, m = _ratio(residue[pivot], row[pivot])
             _eliminate(residue, row, n, m)
             _eliminate(rtag, self._tags[pivot], n, m)
             stepped = True

@@ -33,7 +33,9 @@ from sullivan.cohomology import (
     betti,
     class_of,
     cup_product,
+    h0_presentation,
     is_quasi_iso,
+    quotient_ring_dims,
 )
 from sullivan.constructors import (
     ClassifyingData,
@@ -66,6 +68,8 @@ D_SQUARED_NONZERO = FreeCDGA((a2, b3, c4), {c4: B3 * A2, b3: A2 ** 2})  # d(d(c4
 v3, v1 = Generator("v3", 3), Generator("v1", 1)
 X4_SQUARED = Monomial(((x4, 2),))
 V3_TO_2X4, V3_TO_3X4 = (FreeCDGA((v3, x4), {v3: k * X4}) for k in (2, 3))
+a3, y5 = Generator("a3", 3), Generator("y5", 5)
+NOT_PURE = FreeCDGA((x2, a3, y5), {y5: X2 * Polynomial.gen(a3)})  # d y5 holds the odd a3
 
 
 def _outcome(run):
@@ -148,6 +152,11 @@ CASES = [
         "RingPresentation",
         lambda: RingPresentation((x4,), (X4 * Z4 + X4 * W4,)),
         ("ValueError", "relation w4*x4 + x4*z4 mentions unknown generators: w4, z4"),
+    ),
+    (
+        "quotient_ring_dims-of-h0_presentation-not-pure",
+        lambda: quotient_ring_dims(h0_presentation(NOT_PURE), 8),
+        ("ValueError", "relation x2*a3 mentions unknown generators: a3"),
     ),
     (
         "rename_generators-unknown-keys",

@@ -944,15 +944,18 @@ GROEBNER_CUT = 12
 XY2 = (Generator("x2", 2), Generator("y2", 2))
 X2, Y2 = map(Polynomial.gen, XY2)
 UPKEEP_CASE = (XY2, (X2 ** 2 + X2 * Y2, X2 ** 2), (X2 ** 2, X2 ** 2 + X2 * Y2), GROEBNER_CUT)
+# Sorted by the terms as given, x2^2 comes after x2*y2 - x2^2 but before
+# x2^2 - x2*y2, so such a sort finds the leads x2*y2 and x2^2 in either order.
+SCALE_CASE = (XY2, (X2 * Y2 - X2 ** 2, X2 ** 2), (X2 ** 2 - X2 * Y2, X2 ** 2), GROEBNER_CUT)
 
 
 @st.composite
 def groebner_inputs(draw):
-    """(gens, relations, the same relations shuffled, cut): either 1-4
-    homogeneous relations over EVENS, some past the cut, perhaps one repeated,
-    one linear in a generator, which makes that generator a lead, and a
-    nonzero constant, whose lead divides every monomial; or H_0 of a random
-    pure model."""
+    """(gens, relations, the same relations shuffled and each times a nonzero
+    coefficient, cut): either 1-4 homogeneous relations over EVENS, some past
+    the cut, perhaps one repeated, one linear in a generator, which makes
+    that generator a lead, and a nonzero constant, whose lead divides every
+    monomial; or H_0 of a random pure model."""
     cut = draw(st.integers(min_value=0, max_value=GROEBNER_CUT))
     if draw(st.booleans()):
         pres = h0_presentation(random_pure_model(random.Random(draw(st.integers(0, 2 ** 32 - 1)))))
@@ -967,7 +970,9 @@ def groebner_inputs(draw):
         if draw(st.integers(min_value=0, max_value=9)) == 0:
             relations.append(Polynomial.scalar(draw(coefficients)))
         pres = RingPresentation(EVENS, tuple(draw(st.permutations(relations))))
-    shuffled = tuple(draw(st.permutations(pres.relations)))
+    count = len(pres.relations)
+    scales = draw(st.lists(coefficients, min_size=count, max_size=count))
+    shuffled = tuple(draw(st.permutations([c * r for c, r in zip(scales, pres.relations)])))
     return tuple(sorted(pres.generators)), pres.relations, shuffled, cut
 
 
@@ -986,6 +991,7 @@ def test_groebner_leads_and_counts_match_the_reduced_basis_oracle(case):
 
 @given(groebner_inputs())
 @example(UPKEEP_CASE)
+@example(SCALE_CASE)
 @settings(deadline=None)
 def test_groebner_leads_and_counts_ignore_the_order_of_relations(case):
     gens, relations, shuffled, cut = case
