@@ -8,7 +8,8 @@ uniform across subcommands:
 * 2: bad input (parse errors, validation failures, malformed options).
 * 3: a mathematical check failed (a morphism is not a quasi-isomorphism,
   or a verification case reports FAIL).
-* 4: a computation hit the basis-size cap (see RHT_MAX_BASIS).
+* 4: a computation hit the basis-size cap (see RHT_MAX_BASIS) or ran out
+  of memory.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def cmd_biquotient(args: argparse.Namespace) -> int:
 
 def cmd_projectivize(args: argparse.Namespace) -> int:
     doc, base = _load_model(args.base)
-    check_bound(args.rank, "rank", least=1)
+    if args.rank < 1:  # not a degree bound: only an exponent, of any size
+        raise ValueError(f"rank must be >= 1, got {args.rank}")
     data = parse_pontryagin(_read_text(args.pontryagin), base, args.rank)
     model = projectivize(data)
     sys.stdout.write(render_model(model, name=f"{doc.name}_pe"))
@@ -270,6 +272,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 4
     except VerificationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)

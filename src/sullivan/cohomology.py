@@ -33,6 +33,7 @@ Groebner basis and its standard monomials per degree.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, le, sub
@@ -69,10 +70,15 @@ def max_basis_cap() -> int:
     return cap
 
 
-def check_bound(value: Optional[int], name: str, least: int = 0) -> None:
-    """Reject an integer bound below its least value (0 for degree bounds)."""
-    if value is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+def check_bound(value: Optional[int], name: str) -> None:
+    """Reject a degree bound below 0, or above sys.maxsize, which no list
+    length or index can hold."""
+    if value is None:
+        return
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be <= {sys.maxsize}, got {value}")
 
 
 @dataclass

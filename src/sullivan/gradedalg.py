@@ -8,23 +8,29 @@ nonzero Fractions.  Reordering factors follows the Koszul rule: swapping
 two odd factors flips the sign, and the square of any odd factor is zero.
 
 Every product of two canonical monomials, in Polynomial.__mul__,
-map_generators and the Leibniz rule, is one linear merge by sort key that
-counts the swaps of odd factors (_times), so products have one normal form.
-Polynomial.__mul__ and map_generators share one product of term dicts keyed
-by powers (_product); map_generators takes none for a term whose every
+map_generators and the Leibniz rule, is one linear merge in generator order
+that counts the swaps of odd factors (_times), so products have one normal
+form.  Polynomial.__mul__ and map_generators share one product of term dicts
+keyed by powers (_product); map_generators takes none for a term whose every
 factor the map fixes, which is its own image.  The power of a one-term
 polynomial is a closed form: zero from the square on when a factor is odd,
 else every exponent and the coefficient raised.
 
-Generators and monomials are immutable and store, once, what products read
-per term: the hash, and a generator's parity and sort key.  Only the public
-constructors validate; basis enumeration and the merge build monomials
-canonical by construction, unchecked.  Pickling rebuilds both through the
-public constructor, because str hashes differ between processes.
+Generators and monomials are plain value tuples.  A generator is the tuple
+(degree, name, odd), so tuple order is the canonical order of generators.  A
+monomial is the tuple of its (generator, exponent) pairs: it equals its raw
+powers tuple and hashes like it, so a polynomial's terms already are a term
+dict, and one dict can mix both kinds of key.  Monomials also compare as
+tuples, which is not the graded order, so the canonical order of monomials
+is always their sort_key.  Hashing, equality and order are tuple code.  Only
+the public constructors validate; basis enumeration and the merge build
+monomials canonical by construction, unchecked (Monomial._canonical).
+Pickling rebuilds both through the public constructor.
 
-Basis enumeration walks the factors in canonical order and, by a bitmask of
-the degrees the later generators can reach, enters only branches that end in
-a monomial, so its work follows the size of the basis and not the degree.
+Basis enumeration walks the factors in canonical order and, by the degrees
+the later generators can reach (a bitmask, read once per call as a string of
+binary digits), enters only branches that end in a monomial, so its work
+follows the size of the basis and not the degree.
 
 All arithmetic is exact.  Floats never appear.
 """
@@ -32,9 +38,8 @@ All arithmetic is exact.  Floats never appear.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from sullivan.errors import (
     DegreeMismatchError,
@@ -49,31 +54,32 @@ NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*'*"
 _NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
-    name: str
+class _GeneratorFields(NamedTuple):
     degree: int
-    _hash: int = field(init=False, repr=False, compare=False)
-    odd: bool = field(init=False, repr=False, compare=False)
-    sort_key: tuple[int, str] = field(init=False, repr=False, compare=False)
+    name: str
+    odd: bool
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"generator degree must be >= 1, got {self.degree}")
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"bad generator name {self.name!r}")
-        object.__setattr__(self, "_hash", hash((self.name, self.degree)))
-        object.__setattr__(self, "odd", self.degree % 2 == 1)
-        object.__setattr__(self, "sort_key", (self.degree, self.name))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Generator(_GeneratorFields):
+    """A named generator of positive degree, the tuple (degree, name, odd):
+    tuple order is the canonical order, by degree and then name."""
 
-    def __reduce__(self):
-        return (Generator, (self.name, self.degree))
+    __slots__ = ()
 
-    def __lt__(self, other: "Generator") -> bool:
-        return self.sort_key < other.sort_key
+    def __new__(cls, name: str, degree: int) -> "Generator":
+        if degree < 1:
+            raise ValueError(f"generator degree must be >= 1, got {degree}")
+        if not _NAME_RE.match(name):
+            raise ValueError(f"bad generator name {name!r}")
+        return tuple.__new__(cls, (degree, name, degree % 2 == 1))
+
+    def __getnewargs__(self) -> tuple[str, int]:
+        return self.name, self.degree
+
+    @property
+    def sort_key(self) -> tuple[int, str]:
+        """(degree, name): the canonical order, which tuple order agrees with."""
+        return self.degree, self.name
 
     def __repr__(self) -> str:
         return f"Generator({self.name!r}, {self.degree})"
@@ -82,16 +88,15 @@ class Generator:
 _Powers = tuple[tuple[Generator, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A canonical product of generator powers; the empty product is 1."""
+class Monomial(tuple):
+    """A canonical product of generator powers, the tuple of its (generator,
+    exponent) pairs; the empty product is 1."""
 
-    powers: tuple[tuple[Generator, int], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, powers: _Powers = ()) -> "Monomial":
         prev: Optional[Generator] = None
-        for g, e in self.powers:
+        for g, e in powers:
             if e < 1:
                 raise ValueError(f"exponent must be positive, got {g.name}^{e}")
             if g.odd and e > 1:
@@ -99,21 +104,15 @@ class Monomial:
             if prev is not None and not prev < g:
                 raise ValueError("monomial factors out of order")
             prev = g
-        object.__setattr__(self, "_hash", hash((self.powers,)))
+        return tuple.__new__(cls, powers)
 
-    @classmethod
-    def _canonical(cls, powers: _Powers) -> "Monomial":
-        """The monomial of powers that are canonical by construction, unchecked."""
-        mono = object.__new__(cls)
-        _set_powers(mono, powers)
-        _set_hash(mono, hash((powers,)))
-        return mono
+    # The monomial of powers that are canonical by construction, unchecked.
+    _canonical = classmethod(tuple.__new__)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Monomial, (self.powers,))
+    @property
+    def powers(self) -> _Powers:
+        """The (generator, exponent) pairs, which the monomial itself is."""
+        return self
 
     @property
     def degree(self) -> int:
@@ -143,11 +142,6 @@ class Monomial:
         return f"Monomial<{self}>"
 
 
-# The setters of Monomial's slot descriptors, for _canonical: they skip the
-# lookup by name that object.__setattr__ makes on every call.
-_set_powers = Monomial.powers.__set__
-_set_hash = Monomial._hash.__set__
-
 UNIT = Monomial()
 
 
@@ -156,7 +150,7 @@ def _times(p: _Powers, q: _Powers) -> tuple[Optional[_Powers], int]:
 
     Returns (powers, parity) with p*q = (-1)**parity times the canonical
     monomial of powers, or (None, 0) when an odd generator occurs in both.
-    One merge by sort key; each odd factor of p adds the number of odd
+    One merge in generator order; each odd factor of p adds the number of odd
     factors of q merged before it, since each such pair is one swap of two
     odd factors.
     """
@@ -168,12 +162,12 @@ def _times(p: _Powers, q: _Powers) -> tuple[Optional[_Powers], int]:
     while i < len_p and j < len_q:
         a, b = p[i], q[j]
         g, h = a[0], b[0]
-        if g.sort_key < h.sort_key:
+        if g < h:
             out.append(a)
             i += 1
             if g.odd:
                 parity += q_odd
-        elif h.sort_key < g.sort_key:
+        elif h < g:
             out.append(b)
             j += 1
             if h.odd:
@@ -205,11 +199,6 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
                 old = acc.get(powers)
                 acc[powers] = c if old is None else old + c
     return {k: c for k, c in acc.items() if c}
-
-
-def _raw(p: "Polynomial") -> _Terms:
-    """The term dict of p, keyed by the monomials' powers."""
-    return {m.powers: c for m, c in p.terms.items()}
 
 
 class Polynomial:
@@ -310,7 +299,7 @@ class Polynomial:
             return Polynomial({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        product = _product(_raw(self), _raw(other))
+        product = _product(self.terms, other.terms)
         return Polynomial._nonzero({Monomial._canonical(k): c for k, c in product.items()})
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
@@ -353,7 +342,7 @@ class Polynomial:
         parts: list[str] = []
         for m, c in self.sorted_terms():
             mono = str(m)
-            if m is UNIT or not m.powers:
+            if not m:  # the unit monomial
                 body = str(abs(c))
             elif abs(c) == 1:
                 body = mono
@@ -395,9 +384,11 @@ def basis_of_degree(
 
 
 def _steps(ordered: list[Generator], n: int) -> list[tuple]:
-    """(g, |g|, g odd, reach, top) for each g of ordered: reach is the bitmask
-    of the degrees <= n that the generators after g reach, each odd one used
-    at most once, and top its highest bit."""
+    """(g, |g|, g odd, reach, top) for each g of ordered: reach[r] is "1"
+    when the generators after g reach the degree r <= n, each odd one used
+    at most once, and top is the highest such r.  reach is the bitmask's
+    binary digits, read once here, so that a test is O(1) and not a shift
+    of an n-bit int."""
     mask = (1 << (n + 1)) - 1
     reach = 1  # the empty product
     steps = []
@@ -411,7 +402,7 @@ def _steps(ordered: list[Generator], n: int) -> list[tuple]:
                 if h.odd:
                     break
                 shift <<= 1
-        steps.append((g, g.degree, g.odd, reach, reach.bit_length() - 1))
+        steps.append((g, g.degree, g.odd, bin(reach)[:1:-1], reach.bit_length() - 1))
     steps.reverse()
     return steps
 
@@ -435,7 +426,7 @@ def _walk(
                     raise ResourceLimitError(
                         f"basis in degree {out[-1].degree} exceeds cap of {cap} monomials"
                     )
-            elif reach >> r & 1:
+            elif reach[r] == "1":
                 _walk(steps, i + 1, r, acc + ((g, e),), out, cap)
             e -= 1
             r += d
@@ -454,33 +445,30 @@ def map_generators(
 
     A generator of p is fixed when it is unmapped under fix_unmapped or its
     image is exactly g (see _is_gen), decided once per call.  A term whose
-    factors are all fixed is its own image: its coefficient and its
-    Monomial pass through unchanged, with no product taken.
+    factors are all fixed is its own image: its monomial and coefficient
+    pass through unchanged, with no product taken.
     """
     fixed: dict[Generator, bool] = {}
     powers_of: dict[tuple[Generator, int], _Terms] = {}
-    own: dict[_Powers, Monomial] = {}  # the terms that pass through
     acc: _Terms = {}
     for mono, coeff in p.terms.items():
-        powers = mono.powers
-        for g, _ in powers:
+        for g, _ in mono:
             is_fixed = fixed.get(g)
             if is_fixed is None:
                 is_fixed = fixed[g] = _is_gen(images[g], g) if g in images else fix_unmapped
             if not is_fixed:
                 break
         else:  # every factor fixed: the term is its own image
-            own[powers] = mono
-            old = acc.get(powers)
-            acc[powers] = coeff if old is None else old + coeff
+            old = acc.get(mono)
+            acc[mono] = coeff if old is None else old + coeff
             continue
         term: _Terms = {(): coeff}
-        for factor in powers:
+        for factor in mono:
             image = powers_of.get(factor)
             if image is None:
                 g, e = factor
                 if g in images:
-                    image = _raw(images[g] if e == 1 else images[g] ** e)
+                    image = (images[g] if e == 1 else images[g] ** e).terms
                 else:
                     image = {(factor,): 1} if fix_unmapped else {}
                 powers_of[factor] = image
@@ -490,7 +478,7 @@ def map_generators(
         for k, c in term.items():
             old = acc.get(k)
             acc[k] = c if old is None else old + c
-    return Polynomial({own.get(k) or Monomial._canonical(k): c for k, c in acc.items()})
+    return Polynomial({Monomial._canonical(k): c for k, c in acc.items()})
 
 
 def _is_gen(p: Polynomial, g: Generator) -> bool:
@@ -499,7 +487,7 @@ def _is_gen(p: Polynomial, g: Generator) -> bool:
     if len(p.terms) != 1:
         return False
     ((mono, c),) = p.terms.items()
-    return c == 1 and mono.powers == ((g, 1),)
+    return c == 1 and mono == ((g, 1),)
 
 
 def substitute(p: Polynomial, gen: Generator, replacement: Polynomial) -> Polynomial:

@@ -256,6 +256,53 @@ def test_negative_degree_bounds_are_bad_input(tmp_path, hp2_file, capsys, comman
     assert captured.err.startswith(f"error: {option} must be >= 0, got -")
 
 
+HUGE = str(10**20)  # past sys.maxsize
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["cohomology", "{model}", "--max-degree", HUGE], "--max-degree"),
+        (["reduce", "{reducible}", "--check-degree", HUGE], "--check-degree"),
+        (["quotient-dims", "--gens", "x4:4", "--relations", "{rels}", "--max-degree", HUGE],
+         "--max-degree"),
+    ],
+    ids=["cohomology", "reduce", "quotient-dims"],
+)
+def test_degree_bounds_no_index_can_hold_are_bad_input(tmp_path, capsys, command, option):
+    files = {
+        "model": write(tmp_path, "m.model", "model M { gen x2 : 2; gen y3 : 3; d y3 = x2^2; }\n"),
+        "reducible": write(
+            tmp_path, "r.model", "model R { gen x4 : 4; gen v3 : 3; d v3 = x4; }\n"
+        ),
+        "rels": write(tmp_path, "rels.txt", "x4^2\n"),
+    }
+    argv = [arg.format(**files) for arg in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be <= {sys.maxsize}, got {HUGE}\n"
+
+
+def test_rank_is_not_a_degree_bound(tmp_path, capsys):
+    """The rank is only an exponent in the output, so it may exceed sys.maxsize."""
+    base = write(tmp_path, "s8.model", data_text("s8.model"))
+    pont = write(tmp_path, "p.pont", data_text("thm33_n2.pont"))
+    argv = ["projectivize", "--base", base, "--rank", HUGE, "--pontryagin", pont]
+    assert main(argv) == 0
+    assert f"= x4^{HUGE} + " in capsys.readouterr().out
+
+
+def test_out_of_memory_is_a_cap_exit(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("sullivan.cli.quotient_ring_dims", exhausted)
+    rels = write(tmp_path, "rels.txt", "x4^2\n")
+    assert main(["quotient-dims", "--gens", "x4:4", "--relations", rels]) == 4
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_paper_verify_single_case(capsys):
     assert main(["paper-verify", "--case", "prop31", "--n", "2"]) == 0
     out = capsys.readouterr().out

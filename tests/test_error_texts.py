@@ -3,6 +3,7 @@ unknown generators, repeated names, non-cocycles, the names that leave
 their algebra, the certificate of a reduction step, a replay that diverges
 from its log, a characteristic class past a bundle's rank or below index 1,
 a class of a bundle of rank 10^9 (raised without work sized by the rank),
+a degree bound of 10^20, which no list length or index can hold,
 a malformed model handed to cohomology, to the reduction or to the
 quasi-isomorphism check, a cohomology handed in with another model, a
 coefficient that is neither an int nor a Fraction, and the argument checks
@@ -12,6 +13,7 @@ Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,7 @@ X4_SQUARED = Monomial(((x4, 2),))
 V3_TO_2X4, V3_TO_3X4 = (FreeCDGA((v3, x4), {v3: k * X4}) for k in (2, 3))
 a3, y5 = Generator("a3", 3), Generator("y5", 5)
 NOT_PURE = FreeCDGA((x2, a3, y5), {y5: X2 * Polynomial.gen(a3)})  # d y5 holds the odd a3
+HUGE = 10**20  # past sys.maxsize
 
 
 def _outcome(run):
@@ -395,6 +398,21 @@ CASES = [
         "classifying_data-thm33-coefficient-count",
         lambda: classifying_data("thm33", 2, (Fraction(1),)),
         ("ValueError", "case thm33 at n = 2 needs 4 coefficients, got 1"),
+    ),
+    (
+        "betti-degree-past-maxsize",
+        lambda: betti(FreeCDGA((x2, y3), {y3: X2 ** 2}), HUGE),
+        ("ValueError", f"max_degree must be <= {sys.maxsize}, got {HUGE}"),
+    ),
+    (
+        "reduce-check-degree-past-maxsize",
+        lambda: reduce(V3_TO_2X4, check_degree=HUGE),
+        ("ValueError", f"check_degree must be <= {sys.maxsize}, got {HUGE}"),
+    ),
+    (
+        "quotient_ring_dims-degree-past-maxsize",
+        lambda: quotient_ring_dims(RingPresentation((x4,), (X4 ** 2,)), HUGE),
+        ("ValueError", f"max_degree must be <= {sys.maxsize}, got {HUGE}"),
     ),
     (
         "comparison_morphism-case-without-one",

@@ -339,6 +339,21 @@ def test_monomial_sort_key_orders_by_degree_first(m):
     assert key[0] == m.degree
 
 
+@given(polynomials(), st.permutations(list(POOL) + [Generator("a3", 5), Generator("w2", 2)]))
+def test_generators_and_monomials_are_value_tuples(p, gens):
+    """A generator is the tuple (degree, name, odd), so generators sort by
+    degree, then name.  A monomial is the tuple of its (generator, exponent)
+    pairs: a term is found by the plain tuple, and the checked and unchecked
+    constructors build equal monomials with equal hashes."""
+    assert all(tuple(g) == (g.degree, g.name, g.degree % 2 == 1) for g in gens)
+    assert sorted(gens) == sorted(gens, key=lambda g: (g.degree, g.name))
+    for m, c in p.terms.items():
+        raw = tuple(m.powers)
+        assert type(raw) is tuple and p.terms[raw] == c
+        public, unchecked = Monomial(raw), Monomial._canonical(raw)
+        assert public == unchecked and hash(public) == hash(unchecked) == hash(raw)
+
+
 @given(polynomials())
 def test_substitute_by_self_is_identity(p):
     for g in POOL:
