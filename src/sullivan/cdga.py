@@ -49,8 +49,9 @@ class FreeCDGA:
         if dupes:
             raise ValueError(f"duplicate generator names: {', '.join(sorted(dupes))}")
         diff = {g: p for g, p in self.differential.items() if not p.is_zero()}
+        known = set(ordered)
         for g in diff:
-            if g not in ordered:
+            if g not in known:
                 raise UnknownGeneratorError(
                     f"differential assigned to unknown generator {g.name}"
                 )
@@ -66,7 +67,8 @@ class FreeCDGA:
         object.__setattr__(self, "_leibniz", leibniz)
 
     def d(self, g: Generator) -> Polynomial:
-        return self.differential.get(g, Polynomial.zero())
+        dg = self.differential.get(g)
+        return Polynomial.zero() if dg is None else dg
 
     def gen(self, name: str) -> Generator:
         for g in self.generators:
@@ -172,8 +174,9 @@ def pure_check(model: FreeCDGA) -> bool:
 
 
 def refuse_non_cdga(model: FreeCDGA, role: str = "") -> None:
-    """Raise ValueError with every violation of a model that breaks the CDGA axioms."""
-    if bad := validate(model):
+    """The one refusal of an input that breaks the CDGA axioms: ValueError naming its role
+    and every violation.  It reads _violations, leaving validate to check results (checked)."""
+    if bad := [text for _, text in _violations(model)]:
         raise ValueError((f"{role} is " if role else "") + "not a CDGA: " + "; ".join(bad))
 
 
@@ -331,7 +334,8 @@ class Morphism:
         object.__setattr__(self, "images", clean)
 
     def image_of(self, g: Generator) -> Polynomial:
-        return self.images.get(g, Polynomial.zero())
+        img = self.images.get(g)
+        return Polynomial.zero() if img is None else img
 
     def push(self, p: Polynomial) -> Polynomial:
         """Apply the algebra-map extension of the generator images."""

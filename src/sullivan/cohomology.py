@@ -351,24 +351,18 @@ class RingPresentation:
             raise ValueError(f"presentation generator {odd.name} has odd degree")
         if dupes := repeated_names(g.name for g in self.generators):
             raise ValueError(f"duplicate generator name {dupes[0]}")
+        known = frozenset(self.generators)
         for r in self.relations:
-            if names := unknown_names(r, self.generators):
+            if names := unknown_names(r, known):
                 raise ValueError(f"relation {r} mentions unknown generators: {names}")
             if not r.is_homogeneous():
                 raise DegreeMismatchError(f"relation {r} is not homogeneous")
 
-    @classmethod
-    def _unchecked(cls, generators: tuple, relations: tuple) -> "RingPresentation":
-        """Even, distinct generators and nonzero homogeneous relations in them, unchecked."""
-        pres = object.__new__(cls)
-        pres.__dict__.update(generators=generators, relations=relations)
-        return pres
-
 
 def h0_presentation(model: FreeCDGA) -> RingPresentation:
-    """H_0 = Q[even generators]/(d of the odd generators), built unchecked: the model
-    must pass pure_check, and its differentials be homogeneous, as Cohomology checks."""
-    return RingPresentation._unchecked(model.even_generators(), tuple(model.differential.values()))
+    """H_0 = Q[even generators]/(d of the odd generators) of a pure model, checked as any
+    presentation: a differential that mentions an odd generator names it as unknown."""
+    return RingPresentation(model.even_generators(), tuple(model.differential.values()))
 
 
 def quotient_ring_dims(pres: RingPresentation, max_degree: int) -> dict[int, int]:
@@ -388,48 +382,49 @@ def _cancel(p: dict, t: tuple, lead: tuple, g: dict) -> None:
 
 def _groebner(gens: Sequence[Generator], relations: tuple, max_degree: int, cap: int) -> list:
     """The leads of a Groebner basis of (relations) in Q[gens] cut at max_degree, as exponent
-    tuples indexed like gens (ascending degree); in weighted grevlex with the generators highest
-    degree first, a homogeneous polynomial's lead is its least tuple.  Its elements are primitive
-    integer polynomials, reduced fraction-free in place.  Taken in ascending degree, relations
-    sorted by their primitive terms up to sign, in full normal form, the leads are the minimal
-    generators of the leading ideal up to max_degree (Becker-Weispfenning, GTM 141).  No pair is
-    formed past the cut, nor for leads with no common generator (Buchberger's first criterion)."""
+    tuples indexed like gens (ascending degree); the relations are a RingPresentation's, nonzero,
+    homogeneous and in gens alone.  In weighted grevlex with the generators highest degree first,
+    a homogeneous polynomial's lead is its least tuple.  Its elements are primitive integer
+    polynomials, reduced fraction-free in place.  Taken in ascending degree, relations sorted by
+    their primitive terms up to sign, in full normal form, the leads are the minimal generators
+    of the leading ideal up to max_degree (Becker-Weispfenning, GTM 141).  No pair is formed past
+    the cut, nor for leads with no common generator (Buchberger's first criterion), which a
+    bitmask of each lead's support tests in one step."""
     entries = []  # (sort key, degree, primitive integer polynomial) per relation
     for r in relations:
         terms, p = _primitive(r.terms, {})[0], {}
         for m, c in terms.items():
             powers = dict(m.powers)
-            p[tuple(powers.pop(g, 0) for g in gens)] = c
-            if powers:
-                raise ValueError(f"relation {r} mentions unknown generators: {unknown_names(r, gens)}")
+            p[tuple(powers.get(g, 0) for g in gens)] = c
         key = sorted((m.sort_key, c) for m, c in terms.items())
         entries.append((max(key, [(k, -c) for k, c in key]), r.degree(), p))
     todo: dict[int, list[dict]] = {}  # degree -> polynomials still to reduce
     for _, degree, p in sorted(entries, key=itemgetter(0)):
         todo.setdefault(degree, []).append(p)
-    basis: list[tuple[tuple[int, ...], dict]] = []  # (lead, primitive polynomial)
+    basis: list[tuple[tuple[int, ...], int, dict]] = []  # (lead, its support mask, polynomial)
     while todo and min(todo) <= max_degree:
         for p in todo.pop(min(todo)):  # a new pair's lcm lies above both leads
             t = min(p, default=None)
             while t is not None:  # the normal form of p in place, term by term from the lead
-                if divisor := next(((lead, g) for lead, g in basis if all(map(le, lead, t))), None):
+                if divisor := next(((lead, g) for lead, _, g in basis if all(map(le, lead, t))), None):
                     _cancel(p, t, *divisor)
                 t = min((s for s in p if s > t), default=None)
             if not p:
                 continue
             p, _ = _primitive(p, {})
             new = min(p)
-            for lead, g in basis:
-                if any(a and b for a, b in zip(lead, new)):
+            support = sum(1 << i for i, e in enumerate(new) if e)
+            for lead, lead_support, g in basis:
+                if lead_support & support:
                     lcm = tuple(map(max, lead, new))
                     if (degree := sum(x.degree * e for x, e in zip(gens, lcm))) <= max_degree:
                         by = tuple(map(sub, lcm, new))
                         _cancel(s := {tuple(map(add, t, by)): v for t, v in p.items()}, lcm, lead, g)
                         todo.setdefault(degree, []).append(s)
-            basis.append((new, p))
+            basis.append((new, support, p))
             if len(basis) > cap:
                 raise ResourceLimitError(f"Groebner basis exceeds cap of {cap} polynomials")
-    return [lead for lead, _ in basis]
+    return [lead for lead, _, _ in basis]
 
 
 def _standard_counts(gens: Sequence[Generator], leads: list, max_degree: int, cap: int) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from sullivan.cdga import FreeCDGA, apply_d, checked, pure_check, validate
+from sullivan.cdga import FreeCDGA, apply_d, checked, pure_check, refuse_non_cdga
 from sullivan.errors import (
     DegreeMismatchError,
     NotACocycleError,
@@ -81,9 +81,7 @@ def projectivize(data: PontryaginData) -> FreeCDGA:
     if n < 1:
         raise UnsupportedDimensionError(f"bundle rank must be >= 1, got {n}")
     base = data.base
-    bad = validate(base)
-    if bad:
-        raise ValueError("base is not a CDGA: " + "; ".join(bad))
+    refuse_non_cdga(base, "base")
     taken = {g.name for g in base.generators}
     x = Generator(fresh_name("x4", taken), 4)
     top = Generator(fresh_name(f"x{4 * n - 1}", taken), 4 * n - 1)

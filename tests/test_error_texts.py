@@ -157,6 +157,11 @@ CASES = [
         ("ValueError", "relation w4*x4 + x4*z4 mentions unknown generators: w4, z4"),
     ),
     (
+        "h0_presentation-not-pure",
+        lambda: h0_presentation(NOT_PURE),
+        ("ValueError", "relation x2*a3 mentions unknown generators: a3"),
+    ),
+    (
         "quotient_ring_dims-of-h0_presentation-not-pure",
         lambda: quotient_ring_dims(h0_presentation(NOT_PURE), 8),
         ("ValueError", "relation x2*a3 mentions unknown generators: a3"),
