@@ -200,12 +200,11 @@ def rename_generators(model: FreeCDGA, mapping: Mapping[Generator, Generator]) -
             )
     table = {g: mapping.get(g, g) for g in model.generators}
     images = {g: Polynomial.gen(new) for g, new in table.items()}
-
-    def rename_poly(p: Polynomial) -> Polynomial:
-        return map_generators(p, images, fix_unmapped=True)
-
     gens = tuple(table[g] for g in model.generators)
-    diff = {table[g]: rename_poly(p) for g, p in model.differential.items()}
+    diff = {
+        table[g]: map_generators(p, images, fix_unmapped=True)
+        for g, p in model.differential.items()
+    }
     return FreeCDGA(gens, diff)
 
 
@@ -349,46 +348,42 @@ def identity_morphism(model: FreeCDGA) -> Morphism:
 def compose_and_check(m: Morphism) -> list[str]:
     """Violations of m being a CDGA morphism (degrees and chain condition).
 
-    An identity image, g sent to exactly g with g a target generator, has
-    the right shape by construction and d of it is the target's d(g), so
-    neither is derived again; every other image is checked in full.
+    One pass checks each source generator once.  An identity image, g sent
+    to exactly g with g a target generator, has the right shape by
+    construction and d of it is the target's d(g), so neither is derived
+    again; any other image goes on to the chain condition only if its shape
+    passes.  Chain failures are listed after every shape failure.
     """
     violations: list[str] = []
+    chain_failures: list[str] = []
     src = set(m.source.generators)
     tgt = set(m.target.generators)
     for g in m.images:
         if g not in src:
             violations.append(f"image assigned to non-source generator {g.name}")
-    checkable: list[Generator] = []
-    identities: set[Generator] = set()
     for g in m.source.generators:
         img = m.image_of(g)
         if g in tgt and _is_gen(img, g):
-            identities.add(g)
-            checkable.append(g)
-            continue
-        ok = True
-        names = unknown_names(img, tgt)
-        if names:
-            violations.append(f"image of {g.name} mentions unknown generators: {names}")
-            ok = False
-        if not img.is_zero():
-            if not img.is_homogeneous():
-                violations.append(f"image of {g.name} is inhomogeneous: {img}")
-                ok = False
-            elif img.degree() != g.degree:
-                violations.append(
-                    f"image of {g.name} has degree {img.degree()}, expected {g.degree}"
-                )
-                ok = False
-        if ok:
-            checkable.append(g)
-    for g in checkable:
+            rhs = m.target.d(g)
+        else:
+            before = len(violations)
+            names = unknown_names(img, tgt)
+            if names:
+                violations.append(f"image of {g.name} mentions unknown generators: {names}")
+            if not img.is_zero():
+                if not img.is_homogeneous():
+                    violations.append(f"image of {g.name} is inhomogeneous: {img}")
+                elif img.degree() != g.degree:
+                    violations.append(
+                        f"image of {g.name} has degree {img.degree()}, expected {g.degree}"
+                    )
+            if len(violations) > before:  # the image has the wrong shape
+                continue
+            rhs = apply_d(m.target, img)
         lhs = m.push(m.source.d(g))
-        rhs = m.target.d(g) if g in identities else apply_d(m.target, m.image_of(g))
         if lhs != rhs:
-            violations.append(
+            chain_failures.append(
                 f"chain condition fails on {g.name}: "
                 f"image of d({g.name}) is {lhs}, but d of the image is {rhs}"
             )
-    return violations
+    return violations + chain_failures

@@ -27,7 +27,9 @@ through its size and its span modulo coboundaries.
 
 RHT_MAX_BASIS in the environment, a nonnegative integer, overrides the
 default cap of 200000 monomials per degree, which also caps the size of a
-Groebner basis and its standard monomials per degree.
+Groebner basis and its standard monomials per degree, and the parameter n
+of a paper case (presets.resolve_n), whose models have more than n
+generators.
 """
 
 from __future__ import annotations

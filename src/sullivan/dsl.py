@@ -14,14 +14,17 @@ coefficient p or p/q, then * separated generator powers IDENT or
 IDENT^INT.  ^ binds tighter than *.  Identifiers may carry trailing
 primes.
 
-One statement loop reads every body, driven by its document kind's table
-of statement forms: a statement declares a generator (NAME : INT) or
-assigns an expression to a name (NAME = EXPR, or NAME -> EXPR in a
-morphism).  A statement keeps its name token, and an expression the token
-of each generator it names, as their positions.  Resolution declares
-generators through one routine and resolves every assignment
-(differentials, phiH and phiK, morphism images, Pontryagin classes)
-through one other.  Every error carries a line and column.
+One scan of one token pattern, whose last alternative is a stray
+character, lexes a text.  One statement loop reads every body, driven by
+its document kind's table of statement forms: a statement declares a
+generator (NAME : INT) or assigns an expression to a name (NAME = EXPR, or
+NAME -> EXPR in a morphism).  A statement keeps its name token, and an
+expression the token of each generator it names, as their positions.
+Resolution declares generators through one routine and resolves every
+assignment (differentials, phiH and phiK, morphism images, Pontryagin
+classes) through one other.  Every error carries a line and column.  The
+renderers hand their statements to one document frame, which writes the
+braces, the indent and the ';' of each.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ _TOKEN_RE = re.compile(
       | (?P<int>[0-9]+)
       | (?P<arrow>->)
       | (?P<punct>[{}():;=+\-*^/,])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -71,25 +75,19 @@ _TOKEN_RE = re.compile(
 
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start = 1, 0  # line_start: the offset where the line begins
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
+        col = m.start() - line_start + 1
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
+            line_start = m.end()
+        elif kind == "bad":
+            raise DslError(f"unexpected character {m.group()!r}", line, col)
+        elif kind not in ("ws", "comment"):
             out_kind = {"ident": "IDENT", "int": "INT"}.get(kind, "PUNCT")
-            tokens.append(Token(out_kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token(out_kind, m.group(), line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -481,54 +479,57 @@ def check_document(doc: ModelDocument) -> list[str]:
     return [str(_error(violation, names[g.name])) for g, violation in _violations(doc.to_model())]
 
 
+def _document(head: str, statements: list[str]) -> str:
+    """The frame every document shares: head, then each statement on its
+    own line, indented two spaces and ended with ';', in braces."""
+    body = "".join(f"  {statement};\n" for statement in statements)
+    return f"{head} {{\n{body}}}\n"
+
+
 def render_model(model: FreeCDGA, name: str = "M") -> str:
     """Render a model as a document; parsing it back gives an equal model."""
-    lines = [f"model {name} {{"]
+    statements = []
     for g in model.generators:
-        lines.append(f"  gen {g.name} : {g.degree};")
+        statements.append(f"gen {g.name} : {g.degree}")
     for g in model.generators:
         dg = model.d(g)
         if not dg.is_zero():
-            lines.append(f"  d {g.name} = {dg};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            statements.append(f"d {g.name} = {dg}")
+    return _document(f"model {name}", statements)
 
 
 def render_morphism(
     m: Morphism, name: str = "f", source_name: str = "A", target_name: str = "B"
 ) -> str:
-    lines = [
+    statements = []
+    for g in m.source.generators:
+        statements.append(f"{g.name} -> {m.image_of(g)}")
+    return "\n".join([
         render_model(m.source, source_name),
         render_model(m.target, target_name),
-        f"morphism {name} : {source_name} -> {target_name} {{",
-    ]
-    for g in m.source.generators:
-        lines.append(f"  {g.name} -> {m.image_of(g)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        _document(f"morphism {name} : {source_name} -> {target_name}", statements),
+    ])
 
 
 def render_classifying(data: ClassifyingData, name: str = "B") -> str:
     """Render classifying data as a biquotient document; parsing it back
     gives equal ClassifyingData."""
-    lines = [f"biquotient {name} {{"]
+    statements = []
     for key, gens in (("wh", data.wh), ("wk", data.wk), ("v", data.v)):
         for g in gens:
             alias = data.suspension_names.get(g) if key == "v" else None
             suffix = "" if alias is None else f" as {alias}"
-            lines.append(f"  {key} {g.name} : {g.degree}{suffix};")
+            statements.append(f"{key} {g.name} : {g.degree}{suffix}")
     for label, phi in (("phiH", data.phi_h), ("phiK", data.phi_k)):
         for g in data.v:
             if g in phi:
-                lines.append(f"  {label} {g.name} = {phi[g]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                statements.append(f"{label} {g.name} = {phi[g]}")
+    return _document(f"biquotient {name}", statements)
 
 
 def render_pontryagin(data: PontryaginData, name: str = "P") -> str:
     """Render the characteristic classes as a pontryagin document."""
-    lines = [f"pontryagin {name} {{"]
+    statements = []
     for i, p in data.classes.items():
-        lines.append(f"  p {i} = {p};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        statements.append(f"p {i} = {p}")
+    return _document(f"pontryagin {name}", statements)

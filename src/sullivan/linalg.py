@@ -12,7 +12,9 @@ up the pivots each subtraction fills in, so its cost follows the pivots the
 vector hits, not the rank.  Where a canonical basis matters (cohomology
 representatives), ``basis()`` builds the reduced row echelon form as fresh
 rows, by the same clearing, and writes nothing back; that form is unique for
-the span, so it does not depend on the order of insertion.
+the span, so it does not depend on the order of insertion.  Every
+subtraction, in elimination, normal forms and the RREF alike, is one call of
+``vec_sub_scaled``.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ def _primitive(vec: Vec, tag: Vec) -> tuple[Vec, Vec]:
 def _clear(vec: Vec, rows_by_pivot: dict[int, Vec]) -> Vec:
     """vec cleared at each pivot of rows_by_pivot (pivot -> row whose least
     key is that pivot), in ascending pivot order.  A min-heap holds the
-    residue's keys that are pivots; a subtraction adds only keys past its
-    pivot, and those that are pivots join the heap.  The subtractions are
-    those of a sweep over every row in pivot order, so the result is too."""
+    residue's keys that are pivots; a subtraction (vec_sub_scaled) adds only
+    keys past its pivot, and those that are pivots join the heap.  The
+    subtractions are those of a sweep over every row in pivot order, so the result is too."""
     residue = dict(vec)
     heap = [k for k in residue if k in rows_by_pivot]
     heapify(heap)
@@ -83,17 +85,10 @@ def _clear(vec: Vec, rows_by_pivot: dict[int, Vec]) -> Vec:
         if c is None:  # cancelled by an earlier subtraction, or a repeat
             continue
         row = rows_by_pivot[pivot]
-        factor = Fraction(c) / row[pivot]
-        for k, v in row.items():
-            old = residue.get(k)
-            if old is None:
-                residue[k] = -factor * v
-                if k in rows_by_pivot:
-                    heappush(heap, k)
-            elif new := old - factor * v:
-                residue[k] = new
-            else:
-                del residue[k]
+        filled = [k for k in row if k not in residue and k in rows_by_pivot]
+        vec_sub_scaled(residue, row, Fraction(c) / row[pivot])
+        for k in filled:
+            heappush(heap, k)
     return residue
 
 

@@ -35,8 +35,10 @@ from importlib import resources
 from typing import Optional
 
 from sullivan.cdga import FreeCDGA, Morphism
+from sullivan.cohomology import max_basis_cap
 from sullivan.constructors import ClassifyingData, PontryaginData, hp_model, sphere_model
 from sullivan.dsl import parse_classifying, parse_morphism, parse_pontryagin
+from sullivan.errors import ResourceLimitError
 from sullivan.gradedalg import Generator, Polynomial
 
 CASES = ("prop31", "prop32", "thm33", "thm34")
@@ -112,7 +114,8 @@ _MIN_N = {"prop31": 2, "prop32": 2, "thm33": 1}
 
 def resolve_n(case: str, n: Optional[int] = None) -> Optional[int]:
     """The parameter of a case instance: n checked against the case's
-    minimum, or the default 2 when n is None.  thm34 takes none."""
+    minimum and, as a family's model at n has more than n generators, the
+    basis cap; or the default 2 when n is None.  thm34 takes none."""
     _check_case(case)
     if case == "thm34":
         if n is not None:
@@ -122,6 +125,8 @@ def resolve_n(case: str, n: Optional[int] = None) -> Optional[int]:
         return 2
     if n < _MIN_N[case]:
         raise ValueError(f"case {case} needs n >= {_MIN_N[case]}, got {n}")
+    if n > (cap := max_basis_cap()):
+        raise ResourceLimitError(f"case {case} at n = {n} exceeds cap of {cap} generators")
     return n
 
 

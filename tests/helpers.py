@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from sullivan.cdga import FreeCDGA, apply_d
+from sullivan.dsl import DslError, Token
 from sullivan.errors import ResourceLimitError
-from sullivan.gradedalg import Generator, Monomial, Polynomial, unknown_names
+from sullivan.gradedalg import NAME_PATTERN, Generator, Monomial, Polynomial, _is_gen, unknown_names
 
 COEFF_POOL = [
     Fraction(1),
@@ -161,6 +163,93 @@ def compose_and_check_in_full(m):
                 f"image of d({g.name}) is {lhs}, but d of the image is {rhs}"
             )
     return violations
+
+
+def compose_and_check_in_two_passes(m):
+    """cdga.compose_and_check as two passes: the shape of every image first,
+    collecting the generators that pass, then the chain condition on those,
+    with an identity image's d read from the target."""
+    violations: list[str] = []
+    src = set(m.source.generators)
+    tgt = set(m.target.generators)
+    for g in m.images:
+        if g not in src:
+            violations.append(f"image assigned to non-source generator {g.name}")
+    checkable: list[Generator] = []
+    identities: set[Generator] = set()
+    for g in m.source.generators:
+        img = m.image_of(g)
+        if g in tgt and _is_gen(img, g):
+            identities.add(g)
+            checkable.append(g)
+            continue
+        ok = True
+        names = unknown_names(img, tgt)
+        if names:
+            violations.append(f"image of {g.name} mentions unknown generators: {names}")
+            ok = False
+        if not img.is_zero():
+            if not img.is_homogeneous():
+                violations.append(f"image of {g.name} is inhomogeneous: {img}")
+                ok = False
+            elif img.degree() != g.degree:
+                violations.append(
+                    f"image of {g.name} has degree {img.degree()}, expected {g.degree}"
+                )
+                ok = False
+        if ok:
+            checkable.append(g)
+    for g in checkable:
+        lhs = m.push(m.source.d(g))
+        rhs = m.target.d(g) if g in identities else apply_d(m.target, m.image_of(g))
+        if lhs != rhs:
+            violations.append(
+                f"chain condition fails on {g.name}: "
+                f"image of d({g.name}) is {lhs}, but d of the image is {rhs}"
+            )
+    return violations
+
+
+# dsl's token pattern without its catch-all for a stray character, which
+# lex_by_position finds as the place where no token matches
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>[ \t\r]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<nl>\n)
+      | (?P<ident>""" + NAME_PATTERN + r""")
+      | (?P<int>[0-9]+)
+      | (?P<arrow>->)
+      | (?P<punct>[{}():;=+\-*^/,])
+    """,
+    re.VERBOSE,
+)
+
+
+def lex_by_position(text: str) -> list[Token]:
+    """dsl._lex as a loop that matches one token at a time at a position it
+    keeps, counting each token's column by hand from the lengths before it
+    on its line, and raising at the first position where no token matches."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise DslError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(lexeme)
+        else:
+            out_kind = {"ident": "IDENT", "int": "INT"}.get(kind, "PUNCT")
+            tokens.append(Token(out_kind, lexeme, line, col))
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
 
 
 def dense_rank(rows):

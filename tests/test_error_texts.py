@@ -4,10 +4,11 @@ their algebra, the certificate of a reduction step, a replay that diverges
 from its log, a characteristic class past a bundle's rank or below index 1,
 a class of a bundle of rank 10^9 (raised without work sized by the rank),
 a degree bound of 10^20, which no list length or index can hold,
-a malformed model handed to cohomology, to the reduction or to the
-quasi-isomorphism check, a cohomology handed in with another model, a
-coefficient that is neither an int nor a Fraction, and the argument checks
-of the constructors, the structural moves, substitution and the presets.
+a case's n past the basis cap, a malformed model handed to cohomology, to
+the reduction or to the quasi-isomorphism check, a cohomology handed in
+with another model, a coefficient that is neither an int nor a Fraction,
+and the argument checks of the constructors, the structural moves,
+substitution and the presets.
 
 Each case gives the exception type and message it raises, or for the two
 checkers that return violations instead of raising, those joined by "; ".
@@ -403,6 +404,11 @@ CASES = [
         "classifying_data-thm33-coefficient-count",
         lambda: classifying_data("thm33", 2, (Fraction(1),)),
         ("ValueError", "case thm33 at n = 2 needs 4 coefficients, got 1"),
+    ),
+    (
+        "classifying_data-n-past-the-basis-cap",
+        lambda: classifying_data("prop31", 200_001),
+        ("ResourceLimitError", "case prop31 at n = 200001 exceeds cap of 200000 generators"),
     ),
     (
         "betti-degree-past-maxsize",

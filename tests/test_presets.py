@@ -6,6 +6,7 @@ from sullivan import presets
 from sullivan.cdga import compose_and_check
 from sullivan.constructors import biquotient_model, projectivize
 from sullivan.dsl import parse_classifying, parse_morphism, parse_pontryagin
+from sullivan.errors import ResourceLimitError
 from sullivan.presets import (
     CASES,
     classifying_data,
@@ -99,6 +100,15 @@ def test_classifying_data_rejects_bad_parameters():
         classifying_data("prop32", n=2, betas=(Fraction(1),))
     with pytest.raises(ValueError):
         classifying_data("prop31", n=2, betas=(Fraction(1),))
+
+
+def test_a_case_parameter_past_the_basis_cap_is_refused(monkeypatch):
+    """A family's biquotient model at n has more than n generators, so n
+    itself is held to the basis cap, before any work sized by n."""
+    monkeypatch.setenv("RHT_MAX_BASIS", "10")
+    assert resolve_n("prop31", 10) == 10
+    with pytest.raises(ResourceLimitError, match="^case prop31 at n = 11 exceeds cap of 10 generators$"):
+        resolve_n("prop31", 11)
 
 
 def test_beta_overrides_change_the_model():

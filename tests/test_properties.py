@@ -29,6 +29,8 @@ from sullivan.cohomology import (
 )
 from sullivan.constructors import ClassifyingData, PontryaginData, biquotient_model, projectivize
 from sullivan.dsl import (
+    DslError,
+    _lex,
     parse_classifying,
     parse_expression,
     parse_model,
@@ -59,9 +61,11 @@ from helpers import (
     bubble_sort_with_sign,
     clear_by_sweep,
     compose_and_check_in_full,
+    compose_and_check_in_two_passes,
     dense_rank,
     echelon_by_fraction_ratio,
     leibniz_d,
+    lex_by_position,
     map_by_factors,
     product_by_bubble_sort,
     quotient_dims_by_elimination,
@@ -529,6 +533,38 @@ def test_compose_and_check_matches_the_full_check(m):
     assert compose_and_check(m) == compose_and_check_in_full(m)
 
 
+@st.composite
+def mapped_morphisms(draw):
+    """A Morphism between the free algebras of morphisms(), so the chain
+    condition fails often, with the images of map_images instead:
+    identities, multiples, sums and renames, keyed by generators in the
+    source or not and naming generators in the target or not.  Up to two
+    images are then redrawn of a wrong degree and one as inhomogeneous
+    (each zero at times)."""
+    m = draw(morphisms())
+    images = draw(map_images())
+    for g in draw(st.lists(st.sampled_from(MAP_POOL), max_size=2, unique=True)):
+        images[g] = _drawn_homogeneous(draw, g.degree + draw(st.sampled_from([-1, 1, 2])))
+    for g in draw(st.lists(st.sampled_from(MAP_POOL), max_size=1)):
+        images[g] = Polynomial.gen(g) + _drawn_homogeneous(draw, g.degree + 1)
+    return Morphism(m.source, m.target, images)
+
+
+@given(mapped_morphisms())
+# a chain failure on the early a3 (an identity, with the target's d(a3)
+# twice the source's) and a shape failure on the later c5: the shape
+# failure comes first
+@example(
+    Morphism(
+        FreeCDGA((X2, A3, C5), {A3: _D_A3}),
+        FreeCDGA((X2, A3, C5), {A3: 2 * _D_A3}),
+        {X2: Polynomial.gen(X2), A3: Polynomial.gen(A3), C5: Polynomial.gen(A3)},
+    )
+)
+def test_compose_and_check_matches_two_passes(m):
+    assert compose_and_check(m) == compose_and_check_in_two_passes(m)
+
+
 @given(
     st.tuples(map_monomials(), coefficients).map(lambda t: Polynomial({t[0]: t[1]}))
     | polynomials()
@@ -764,6 +800,35 @@ def test_random_models_satisfy_d_squared_zero(seed):
 def test_random_models_round_trip_through_documents(seed):
     model = random_pure_model(random.Random(seed))
     assert parse_model(render_model(model, name="R")).to_model() == model
+
+
+# Pieces of document text: identifiers with primes, integers, every
+# punctuation mark, the arrow, comments, each kind of blank, and stray
+# characters that no token takes.
+lex_texts = st.lists(
+    st.sampled_from(
+        ["x2", "a3'", "y4''", "_w", "gen", "0", "12", "007", *"{}():;=+-*^/,", "->"]
+        + ["# note", "#", " ", "  ", "\t", "\r", "\n", "\n\n", "\r\n"]
+        + ["@", "$", "'", "\u00e9", "!"]
+    ),
+    max_size=16,
+).map("".join)
+
+
+def _tokens_or_error(lex, text):
+    """lex(text) as (kind, text, line, col) tuples, or its DslError's message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(text)]
+    except DslError as exc:
+        return str(exc), exc.message, exc.line, exc.col
+
+
+@given(lex_texts)
+@example("")
+@example("model M {\n\tgen x2 : 2;\r\n  d a3' = -1/2*x2^2; # d\n}\n")
+@example("x2 -> y4''\n\n  # c\n\t\u00e9")
+def test_one_token_scan_matches_the_scan_by_position(text):
+    assert _tokens_or_error(_lex, text) == _tokens_or_error(lex_by_position, text)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
